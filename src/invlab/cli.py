@@ -36,9 +36,8 @@ from .errors import (
 )
 from .inversion import InverseMethod, InverseResult, invert
 from .matgen import (
+    RHS_STREAMS,
     STREAM_BAD_INV,
-    STREAM_RHS_B,
-    STREAM_RHS_X,
     RhsMode,
     bad_inverse,
     build_problem,
@@ -84,9 +83,6 @@ class ExperimentConfig:
     sigma_n: float = DEFAULT_SIGMA_N
     seed: int = 0
     method: InverseMethod = InverseMethod.GETRI_STYLE
-    rhs_mode: RhsMode | None = None
-    output_format: str = "json"
-    output_path: str | None = None
 
     def echo(self) -> dict:
         return {
@@ -165,11 +161,7 @@ def run_accuracy(config: ExperimentConfig) -> ExperimentRecord:
     timings["generate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    inv = invert(problem.a, config.method, kappa_est=problem.kappa)
-    if not inv.converged:
-        raise NonConvergenceError(
-            f"{config.method.value} did not converge in {inv.iterations} iterations"
-        )
+    inv = _invert(problem.a, config.method, kappa_est=problem.kappa)
     timings["invert"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -180,8 +172,8 @@ def run_accuracy(config: ExperimentConfig) -> ExperimentRecord:
     factors = lu_gepp(problem.a)
     solves: dict[str, dict[str, SolveReport]] = {}
     pairs = {}
-    for mode, stream in ((RhsMode.RANDOM_B, STREAM_RHS_B), (RhsMode.RANDOM_X, STREAM_RHS_X)):
-        pair = make_rhs(problem, mode, Rng(child_seed(config.seed, stream)))
+    for mode in RhsMode:
+        pair = make_rhs(problem, mode, Rng(child_seed(config.seed, RHS_STREAMS[mode])))
         pairs[mode] = pair
         x_via_inverse = matvec(inv.v, pair.b)
         x_via_gepp = solve_lu(factors, pair.b)
@@ -225,12 +217,7 @@ def run_fig1(config: ExperimentConfig, v_override: Matrix | None = None) -> str:
     if v_override is not None:
         v = v_override
     else:
-        inv = invert(problem.a, config.method, kappa_est=problem.kappa)
-        if not inv.converged:
-            raise NonConvergenceError(
-                f"{config.method.value} did not converge in {inv.iterations} iterations"
-            )
-        v = inv.v
+        v = _invert(problem.a, config.method, kappa_est=problem.kappa).v
     lines = ["row_label,j,sigma_j,magnitude"]
     for label, idx in zip(FIG1_ROW_LABELS, fig1_rows(config.n)):
         spectrum = gamma_projection_spectrum(v, problem.a_inv, problem.svd, idx)
@@ -242,8 +229,22 @@ def run_fig1(config: ExperimentConfig, v_override: Matrix | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _invert(a: Matrix, method: InverseMethod, kappa_est: float | None = None) -> InverseResult:
+    """``invert``, with an iteration that ran out of budget raised as an error."""
+    result = invert(a, method, kappa_est=kappa_est)
+    if not result.converged:
+        raise NonConvergenceError(
+            f"{method.value} did not converge in {result.iterations} iterations"
+        )
+    return result
+
+
+def _to_json(d: dict) -> str:
+    return json.dumps(d, indent=2) + "\n"
+
+
 def record_to_json(record: ExperimentRecord) -> str:
-    return json.dumps(record.to_dict(), indent=2) + "\n"
+    return _to_json(record.to_dict())
 
 
 def _flatten(prefix: str, value, rows: list) -> None:
@@ -257,9 +258,10 @@ def _flatten(prefix: str, value, rows: list) -> None:
         rows.append((prefix, value))
 
 
-def record_to_csv(record: ExperimentRecord) -> str:
+def _to_csv(d: dict) -> str:
+    """One ``key,value`` line per leaf of a nested record."""
     rows: list = []
-    _flatten("", record.to_dict(), rows)
+    _flatten("", d, rows)
     lines = ["key,value"]
     for key, value in rows:
         lines.append(f"{key},{_csv_scalar(value)}")
@@ -274,19 +276,6 @@ def _csv_scalar(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def solve_report_to_json(rep: SolveReport) -> str:
-    return json.dumps(_solve_report_dict(rep), indent=2) + "\n"
-
-
-def solve_report_to_csv(rep: SolveReport) -> str:
-    rows: list = []
-    _flatten("", _solve_report_dict(rep), rows)
-    lines = ["key,value"]
-    for key, value in rows:
-        lines.append(f"{key},{_csv_scalar(value)}")
-    return "\n".join(lines) + "\n"
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -320,9 +309,6 @@ def _config_from_args(args, parser) -> ExperimentConfig:
         sigma_n=args.sigman,
         seed=_resolve_seed(args, parser),
         method=InverseMethod(getattr(args, "method", InverseMethod.GETRI_STYLE.value)),
-        rhs_mode=RhsMode(args.rhs) if getattr(args, "rhs", None) else None,
-        output_format=getattr(args, "format", "json"),
-        output_path=getattr(args, "out", None),
     )
 
 
@@ -343,18 +329,15 @@ def _add_problem_flags(p: argparse.ArgumentParser, with_method: bool = True) -> 
 def _cmd_accuracy(args, parser) -> int:
     config = _config_from_args(args, parser)
     record = run_accuracy(config)
-    if config.output_format == "csv":
-        text = record_to_csv(record)
-    else:
-        text = record_to_json(record)
-    _emit(text, config.output_path)
+    text = _to_csv(record.to_dict()) if args.format == "csv" else record_to_json(record)
+    _emit(text, args.out)
     _report_timings(record.timings)
     return EXIT_OK
 
 
 def _cmd_fig1(args, parser) -> int:
     config = _config_from_args(args, parser)
-    _emit(run_fig1(config), config.output_path)
+    _emit(run_fig1(config), args.out)
     return EXIT_OK
 
 
@@ -366,9 +349,9 @@ def _cmd_gen(args, parser) -> int:
     save_matrix(out_dir / "a.txt", problem.a)
     save_matrix(out_dir / "ainv.txt", problem.a_inv)
     files = {"a": "a.txt", "ainv": "ainv.txt"}
-    if config.rhs_mode is not None:
-        stream = STREAM_RHS_B if config.rhs_mode is RhsMode.RANDOM_B else STREAM_RHS_X
-        pair = make_rhs(problem, config.rhs_mode, Rng(child_seed(config.seed, stream)))
+    if args.rhs is not None:
+        mode = RhsMode(args.rhs)
+        pair = make_rhs(problem, mode, Rng(child_seed(config.seed, RHS_STREAMS[mode])))
         save_vector(out_dir / "b.txt", pair.b)
         save_vector(out_dir / "xref.txt", pair.x_ref)
         files["b"] = "b.txt"
@@ -376,21 +359,16 @@ def _cmd_gen(args, parser) -> int:
     meta = {
         "config": config.echo(),
         "kappa": problem.kappa,
-        "rhs_mode": config.rhs_mode.value if config.rhs_mode else None,
+        "rhs_mode": args.rhs,
         "files": files,
     }
-    (out_dir / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    (out_dir / "meta.json").write_text(_to_json(meta))
     return EXIT_OK
 
 
 def _cmd_invert(args, parser) -> int:
     a = load_matrix(args.matrix)
-    method = InverseMethod(args.method)
-    result = invert(a, method)
-    if not result.converged:
-        raise NonConvergenceError(
-            f"{method.value} did not converge in {result.iterations} iterations"
-        )
+    result = _invert(a, InverseMethod(args.method))
     _emit(matrix_to_text(result.v), args.out)
     return EXIT_OK
 
@@ -413,12 +391,8 @@ def _cmd_solve(args, parser) -> int:
     else:
         x = solve_qr(qr_householder(a), b)
     x_ref = load_vector(args.xref) if args.xref else None
-    rep = solve_report(a, x, b, x_ref)
-    if args.format == "csv":
-        text = solve_report_to_csv(rep)
-    else:
-        text = solve_report_to_json(rep)
-    _emit(text, args.out)
+    rep = _solve_report_dict(solve_report(a, x, b, x_ref))
+    _emit(_to_csv(rep) if args.format == "csv" else _to_json(rep), args.out)
     return EXIT_OK
 
 
@@ -482,6 +456,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_SINGULAR, exc)
     except NonConvergenceError as exc:
         return _fail(EXIT_NO_CONVERGENCE, exc)
+    except ValueError as exc:  # out-of-range problem parameters
+        return _fail(EXIT_USAGE, exc)
 
 
 def _fail(code: int, exc: Exception) -> int:

@@ -1,10 +1,11 @@
 """Dense binary64 linear algebra kernels.
 
 Square matrices in row-major numpy storage. The factorizations (GEPP-LU,
-Householder QR, one-sided Jacobi SVD) and the triangular solves are written
-out longhand, column by column, so the arithmetic order is fixed and every
-run reproduces bit for bit; the dense product is the one place we hand off
-to the BLAS. All functions are pure: inputs are never mutated.
+Householder QR, one-sided Jacobi SVD) are written out longhand, column by
+column, and every triangular solve runs through one row-by-row substitution
+kernel, so the arithmetic order is fixed and every run reproduces bit for
+bit; the dense product is the one place we hand off to the BLAS. All
+functions are pure: inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def lu_gepp(a: Matrix) -> LuFactors:
         p = k + int(np.argmax(np.abs(lu[k:, k])))  # argmax ties -> lowest row
         if abs(lu[p, k]) <= tol:
             raise SingularMatrixError(
-                f"singular pivot {lu[p, k]!r} at elimination step {k}", detail=k
+                f"singular pivot {float(lu[p, k])!r} at elimination step {k}", detail=k
             )
         if p != k:
             lu[[k, p]] = lu[[p, k]]
@@ -169,40 +170,54 @@ def lu_gepp(a: Matrix) -> LuFactors:
     return LuFactors(lu, perm)
 
 
-def solve_lu(f: LuFactors, b: Vector) -> Vector:
-    """Solve A x = b through the packed factors of A."""
-    n = f.n
-    if b.n != n:
-        raise DimensionMismatchError(f"factors are {n}x{n}, rhs has length {b.n}")
-    lu = f.lu
-    y = b.data[f.perm].copy()
-    for i in range(1, n):  # unit lower forward substitution
-        y[i] -= lu[i, :i] @ y[:i]
-    x = np.empty(n)
-    for i in range(n - 1, -1, -1):  # upper back substitution
-        x[i] = (y[i] - lu[i, i + 1:] @ x[i + 1:]) / lu[i, i]
-    return Vector(x)
+def _substitute(t: np.ndarray, b: np.ndarray, lower: bool, unit: bool) -> None:
+    """b <- T^-1 b in place, one row at a time, T the lower or upper triangle of t.
+
+    Row i is x[i] = b[i] - t[i, :i] @ x[:i] (lower) or
+    b[i] - t[i, i+1:] @ x[i+1:] (upper), divided by t[i, i] unless the
+    diagonal is an implicit unit. b is a vector or a matrix whose columns
+    are right-hand sides.
+    """
+    n = t.shape[0]
+    for i in (range(n) if lower else range(n - 1, -1, -1)):
+        done = slice(0, i) if lower else slice(i + 1, n)
+        b[i] -= t[i, done] @ b[done]
+        if not unit:
+            b[i] /= t[i, i]
 
 
-def solve_lu_transposed(f: LuFactors, b: Vector) -> Vector:
+def _check_rhs(n: int, b: Vector | Matrix) -> None:
+    rows = b.n if isinstance(b, Vector) else b.rows
+    if rows != n:
+        raise DimensionMismatchError(f"factors are {n}x{n}, rhs has {rows} rows")
+
+
+def solve_lu(f: LuFactors, b: Vector | Matrix) -> Vector | Matrix:
+    """Solve A x = b through the packed factors of A.
+
+    A Matrix b is a block of right-hand sides, solved in one sweep.
+    """
+    _check_rhs(f.n, b)
+    x = b.data[f.perm]  # a fresh array: the two sweeps overwrite it
+    _substitute(f.lu, x, lower=True, unit=True)
+    _substitute(f.lu, x, lower=False, unit=False)
+    return type(b)(x)
+
+
+def solve_lu_transposed(f: LuFactors, b: Vector | Matrix) -> Vector | Matrix:
     """Solve A^T y = b through factors of A (no second factorization).
 
     With P A = L U this is U^T L^T P y = b: one forward substitution with
     U^T, one back substitution with L^T, then the inverse row permutation.
     """
-    n = f.n
-    if b.n != n:
-        raise DimensionMismatchError(f"factors are {n}x{n}, rhs has length {b.n}")
-    lu = f.lu
-    z = np.empty(n)
-    for i in range(n):  # U^T is lower triangular, non-unit diagonal
-        z[i] = (b.data[i] - lu[:i, i] @ z[:i]) / lu[i, i]
-    w = np.empty(n)
-    for i in range(n - 1, -1, -1):  # L^T is unit upper triangular
-        w[i] = z[i] - lu[i + 1:, i] @ w[i + 1:]
-    y = np.empty(n)
+    _check_rhs(f.n, b)
+    ut = f.lu.T  # view: U^T below the diagonal, L^T (unit) above it
+    w = b.data.copy()
+    _substitute(ut, w, lower=True, unit=False)
+    _substitute(ut, w, lower=False, unit=True)
+    y = np.empty_like(w)
     y[f.perm] = w
-    return Vector(y)
+    return type(b)(y)
 
 
 def qr_householder(a: Matrix) -> QrFactors:
@@ -262,23 +277,20 @@ def qr_r(f: QrFactors) -> Matrix:
 
 def solve_qr(f: QrFactors, b: Vector) -> Vector:
     """Solve A x = b through the packed QR factors."""
-    n = f.n
-    if b.n != n:
-        raise DimensionMismatchError(f"factors are {n}x{n}, rhs has length {b.n}")
+    _check_rhs(f.n, b)
     # max |R| entry stands in for the matrix scale in the rank decision
     scale = float(np.abs(np.triu(f.qr)).max())
-    tol = n * EPS * scale
+    tol = f.n * EPS * scale
+    small = np.flatnonzero(np.abs(np.diag(f.qr)) <= tol)
+    if small.size:
+        i = int(small[-1])  # the back substitution meets the last one first
+        raise SingularMatrixError(
+            f"R diagonal {float(f.qr[i, i])!r} at column {i} is below tolerance", detail=i
+        )
     y = b.data.copy()
     _apply_q_transpose(f, y)
-    x = np.empty(n)
-    qr = f.qr
-    for i in range(n - 1, -1, -1):
-        if abs(qr[i, i]) <= tol:
-            raise SingularMatrixError(
-                f"R diagonal {qr[i, i]!r} at column {i} is below tolerance", detail=i
-            )
-        x[i] = (y[i] - qr[i, i + 1:] @ x[i + 1:]) / qr[i, i]
-    return Vector(x)
+    _substitute(f.qr, y, lower=False, unit=False)
+    return Vector(y)
 
 
 def _complete_zero_columns(w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -392,10 +404,20 @@ def svd_jacobi(a: Matrix, jacobi_tol: float | None = None,
 
 def norm2(a: Matrix) -> float:
     """Spectral norm: leading singular value, by SVD for small orders,
-    by power iteration on A^T A above the cutoff."""
+    by power iteration on A^T A above the cutoff.
+
+    The work runs on A scaled by the power of two that brings max |a_ij|
+    into [1/2, 1), as LAPACK's dlascl does, so squares neither overflow
+    nor underflow. The scaling is exact for every entry within 2^1021 of
+    the largest, so ordinary inputs give the same bits as unscaled.
+    """
+    peak = float(np.abs(a.data).max())
+    if peak == 0.0:
+        return 0.0
+    e = math.frexp(peak)[1]
+    d = np.ldexp(a.data, -e)
     if a.rows == a.cols and a.rows <= NORM_SVD_CUTOFF:
-        return float(svd_jacobi(a).sigma[0])
-    d = a.data
+        return math.ldexp(float(svd_jacobi(Matrix(d)).sigma[0]), e)
     rng = Rng(_POWER_SEED)  # fixed stream: deterministic start vector
     q = rng.normals(a.cols)
     q /= math.sqrt(float(q @ q))
@@ -411,7 +433,7 @@ def norm2(a: Matrix) -> float:
         if abs(s - s_prev) <= POWER_TOL * s:
             break
         s_prev = s
-    return s
+    return math.ldexp(s, e)
 
 
 def cond2(s: SvdFactors) -> float:

@@ -17,7 +17,8 @@ import numpy as np
 from .core import (
     EPS,
     Matrix,
-    Vector,
+    _substitute,
+    identity,
     lu_gepp,
     norm2,
     solve_lu,
@@ -47,47 +48,30 @@ class InverseResult:
 
 
 def invert_rows_gepp(a: Matrix) -> InverseResult:
-    """Row i of V solves v_i A = e_i; one factorization, n transposed solves."""
+    """Row i of V solves v_i A = e_i: one factorization, one A^T Y = I sweep, V = Y^T."""
     f = lu_gepp(a)
-    n = f.n
-    v = np.empty((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        v[i, :] = solve_lu_transposed(f, Vector(e)).data
+    v = solve_lu_transposed(f, identity(f.n)).data.T
     return InverseResult(Matrix(v), InverseMethod.ROWS_GEPP, 0, True)
 
 
 def invert_cols_gepp(a: Matrix) -> InverseResult:
-    """Column j of V solves A v_j = e_j; one factorization, n solves."""
+    """Column j of V solves A v_j = e_j: one factorization, one A V = I sweep."""
     f = lu_gepp(a)
-    n = f.n
-    v = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        v[:, j] = solve_lu(f, Vector(e)).data
-    return InverseResult(Matrix(v), InverseMethod.COLS_GEPP, 0, True)
+    return InverseResult(solve_lu(f, identity(f.n)), InverseMethod.COLS_GEPP, 0, True)
 
 
 def invert_getri_style(a: Matrix) -> InverseResult:
     """Invert through the triangular factors: V = U^-1 L^-1 P.
 
-    U^-1 comes from back substitution against the identity; the L^-1 factor
-    is folded in by eliminating its columns from the right, last to first;
-    the pivoting permutation is applied to the columns at the end.
+    U^-1 comes from back substitution against the identity; L^-1 is folded
+    in from the right, X L = U^-1 solved as L^T X^T = U^-T, last column
+    first; the pivoting permutation is applied to the columns at the end.
     """
     f = lu_gepp(a)
-    n = f.n
-    lu = f.lu
-    w = np.zeros((n, n))  # becomes U^-1, filled bottom row up
-    eye = np.eye(n)
-    for i in range(n - 1, -1, -1):
-        w[i, :] = (eye[i, :] - lu[i, i + 1:] @ w[i + 1:, :]) / lu[i, i]
-    x = w  # in place: X U^-1-to-(U^-1 L^-1) sweep, rightmost column first
-    for j in range(n - 2, -1, -1):
-        x[:, j] = x[:, j] - x[:, j + 1:] @ lu[j + 1:, j]
-    v = np.empty((n, n))
+    x = np.eye(f.n)
+    _substitute(f.lu, x, lower=False, unit=False)  # x = U^-1
+    _substitute(f.lu.T, x.T, lower=False, unit=True)  # x = U^-1 L^-1
+    v = np.empty_like(x)
     v[:, f.perm] = x
     return InverseResult(Matrix(v), InverseMethod.GETRI_STYLE, 0, True)
 
@@ -118,15 +102,18 @@ def _newton(a: Matrix, v0: Matrix | None, tol: float, max_iter: int,
     iterations = 0
     converged = False
     for t in range(1, max_iter + 1):
-        if left:
-            varr = (two_eye - varr @ d) @ varr
-            resid = norm2(Matrix(varr @ d - eye))
-        else:
-            varr = varr @ (two_eye - d @ varr)
-            resid = norm2(Matrix(d @ varr - eye))
+        with np.errstate(over="ignore", invalid="ignore"):  # divergence is checked below
+            if left:
+                nxt = (two_eye - varr @ d) @ varr
+                r = nxt @ d - eye
+            else:
+                nxt = varr @ (two_eye - d @ varr)
+                r = d @ nxt - eye
         iterations = t
-        if not np.isfinite(resid):
-            break  # diverged; report not converged
+        if not (np.isfinite(nxt).all() and np.isfinite(r).all()):
+            break  # diverged: keep the last finite iterate, report not converged
+        varr = nxt
+        resid = norm2(Matrix(r))
         kap = kappa_est if kappa_est is not None else norm_a * norm2(Matrix(varr))
         if resid <= tol * kap * EPS:
             converged = True

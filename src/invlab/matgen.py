@@ -8,7 +8,8 @@ recomputed; they are the ground truth everything else is judged against.
 
 Substream layout under one master seed (see rng.child_seed): 0 feeds L,
 1 feeds R. Callers drawing right-hand sides or perturbations by convention
-use 2 (random b), 3 (random x), 4 (inverse perturbation).
+use RHS_STREAMS[mode] (2 for random b, 3 for random x) and 4 (inverse
+perturbation).
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ STREAM_BAD_INV = 4
 class RhsMode(Enum):
     RANDOM_B = "random-b"
     RANDOM_X = "random-x"
+
+
+RHS_STREAMS = {RhsMode.RANDOM_B: STREAM_RHS_B, RhsMode.RANDOM_X: STREAM_RHS_X}
 
 
 @dataclass(frozen=True)

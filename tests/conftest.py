@@ -13,7 +13,6 @@ from invlab import (
     InverseResult,
     Matrix,
     ResidualReport,
-    RhsMode,
     RhsPair,
     SolveReport,
     backward_error,
@@ -27,7 +26,7 @@ from invlab import (
     solve_lu,
 )
 from invlab.rng import Rng, child_seed
-from invlab.matgen import STREAM_BAD_INV, STREAM_RHS_B, STREAM_RHS_X
+from invlab.matgen import RHS_STREAMS
 
 ACCEPT_N = 256
 SEEDS = tuple(range(10))
@@ -37,11 +36,6 @@ KAPPA_SIGMAS = {
     1e2: (1e1, 1e-1),
     1e4: (1e2, 1e-2),
     1e8: (1e4, 1e-4),
-}
-
-_RHS_STREAMS = {
-    RhsMode.RANDOM_B: STREAM_RHS_B,
-    RhsMode.RANDOM_X: STREAM_RHS_X,
 }
 
 
@@ -85,7 +79,7 @@ class Lab:
     def rhs(self, kappa, seed, mode, n=ACCEPT_N) -> RhsPair:
         def build():
             p = self.problem(kappa, seed, n)
-            return make_rhs(p, mode, Rng(child_seed(seed, _RHS_STREAMS[mode])))
+            return make_rhs(p, mode, Rng(child_seed(seed, RHS_STREAMS[mode])))
 
         return self._get(("rhs", n, kappa, seed, mode), build)
 

@@ -360,6 +360,19 @@ def test_exit_nonconvergence_is_6(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["exit_code"] == 6
 
 
+@pytest.mark.parametrize("args", [
+    ["accuracy", "--sigman", "0"],
+    ["accuracy", "--sigma1", "1", "--sigman", "2"],
+    ["accuracy", "--n", "0"],
+    ["fig1", "--n", "1"],
+])
+def test_exit_usage_out_of_range_problem(args):
+    proc = run_cli(args)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"]["exit_code"] == 2
+
+
 def test_missing_subcommand_is_usage_error():
     proc = run_cli([])
     assert proc.returncode == 2

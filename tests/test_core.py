@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invlab import (
     DimensionMismatchError,
@@ -30,7 +32,7 @@ from invlab import (
     solve_qr,
     svd_jacobi,
 )
-from invlab.core import EPS
+from invlab.core import EPS, NORM_SVD_CUTOFF
 from invlab.rng import Rng
 
 # ---------------------------------------------------------------- helpers
@@ -175,6 +177,7 @@ def test_lu_singular_raises_with_step():
     with pytest.raises(SingularMatrixError) as exc:
         lu_gepp(a)
     assert isinstance(exc.value.detail, int)
+    assert "np.float64" not in str(exc.value)
 
 
 def test_lu_rejects_rectangular():
@@ -253,6 +256,23 @@ def test_solve_dimension_mismatch():
         solve_lu_transposed(f, Vector(np.ones(3)))
 
 
+@pytest.mark.parametrize("solve", [solve_lu, solve_lu_transposed])
+def test_solve_matrix_rhs_matches_vector_solves(solve):
+    n, m = 12, 5
+    a = gaussian_matrix(n, 41)
+    b = Rng(42).normals(n * m).reshape(n, m)
+    f = lu_gepp(a)
+    x = solve(f, Matrix(b))
+    assert isinstance(x, Matrix)
+    assert (x.rows, x.cols) == (n, m)
+    bound = 10 * n * cond2(svd_jacobi(a)) * EPS
+    for j in range(m):
+        xj = solve(f, Vector(b[:, j])).data
+        assert np.linalg.norm(x.data[:, j] - xj) <= bound * np.linalg.norm(xj)
+    with pytest.raises(DimensionMismatchError):
+        solve(f, Matrix(np.ones((n + 1, m))))
+
+
 # --------------------------------------------------------------------- QR
 
 
@@ -300,8 +320,10 @@ def test_solve_qr_exact_rational_oracle():
 
 def test_solve_qr_singular_raises():
     f = qr_householder(Matrix(np.diag([1.0, 0.0])))
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(SingularMatrixError) as exc:
         solve_qr(f, Vector(np.ones(2)))
+    assert exc.value.detail == 1
+    assert "np.float64" not in str(exc.value)
 
 
 def test_qr_backward_error_small():
@@ -399,6 +421,33 @@ def test_norm2_power_of_two_scaling_exact():
         a = gaussian_matrix(n, seed)
         scaled = Matrix(a.data * 2.0**10)
         assert norm2(scaled) == 2.0**10 * norm2(a)
+
+
+@st.composite
+def _zero_or_binade_matrices(draw, orders):
+    """Square matrices with entries 0 or +-m * 2^e, m in [1/2, 1), e in [-20, 20]."""
+    n = draw(orders)
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mant = g.uniform(0.5, 1.0, (n, n)) * g.choice([-1.0, 1.0], (n, n))
+    d = np.ldexp(mant, g.integers(-20, 21, (n, n)))
+    d[g.random((n, n)) < draw(st.sampled_from([0.0, 0.5, 1.0]))] = 0.0
+    return d
+
+
+@pytest.mark.parametrize("orders", [
+    st.integers(1, NORM_SVD_CUTOFF),        # Jacobi SVD path
+    st.integers(NORM_SVD_CUTOFF + 1, 80),   # power iteration path
+], ids=["jacobi", "power"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), k=st.integers(-1000, 1000))
+def test_norm2_power_of_two_scaling_exact_over_the_exponent_range(orders, data, k):
+    d = data.draw(_zero_or_binade_matrices(orders))
+    assert norm2(Matrix(np.ldexp(d, k))) == math.ldexp(norm2(Matrix(d)), k)
+
+
+@pytest.mark.parametrize("n, c", [(80, 1e80), (4, 1e-170), (80, 1e-170), (4, 1e160)])
+def test_norm2_scaled_identity_near_overflow_and_underflow(n, c):
+    assert abs(norm2(Matrix(c * np.eye(n))) - c) <= 4 * math.ulp(c)
 
 
 # ------------------------------------------------------------------ cond2

@@ -159,6 +159,14 @@ def test_newton_singular_never_converges():
     assert not res.converged
 
 
+@pytest.mark.parametrize("n", [4, 80])
+def test_newton_divergence_reports_not_converged(n):
+    # v <- (2 - 2v) v from v = 10 grows like v^2 until it overflows
+    res = newton_left(Matrix(2.0 * np.eye(n)), v0=Matrix(10.0 * np.eye(n)))
+    assert not res.converged
+    assert np.isfinite(res.v.data).all()
+
+
 def test_newton_seed_shape_mismatch():
     with pytest.raises(DimensionMismatchError):
         newton_left(identity(2), v0=identity(3))

@@ -26,8 +26,7 @@ from invlab.matgen import (
     STREAM_BAD_INV,
     STREAM_L,
     STREAM_R,
-    STREAM_RHS_B,
-    STREAM_RHS_X,
+    RHS_STREAMS,
 )
 
 
@@ -160,8 +159,7 @@ def test_build_problem_validation():
 def test_make_rhs_pair_is_consistent(mode):
     n = 32
     p = build_problem(n, 1e2, 1e-2, seed=2)
-    stream = STREAM_RHS_B if mode is RhsMode.RANDOM_B else STREAM_RHS_X
-    pair = make_rhs(p, mode, Rng(child_seed(2, stream)))
+    pair = make_rhs(p, mode, Rng(child_seed(2, RHS_STREAMS[mode])))
     assert pair.mode is mode
     r = np.linalg.norm(p.a.data @ pair.x_ref.data - pair.b.data)
     assert r <= 100 * n * p.kappa * EPS * np.linalg.norm(pair.b.data)
