@@ -76,6 +76,14 @@ EXIT_SINGULAR = 5
 EXIT_NO_CONVERGENCE = 6
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors reach ``main`` instead of exiting."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(message)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     n: int = DEFAULT_N
@@ -397,7 +405,7 @@ def _cmd_solve(args, parser) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="invlab",
         description="inverse-based solves: when they are accurate and when "
                     "they are backward stable",
@@ -445,8 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args, parser)
     except FormatError as exc:
         return _fail(EXIT_PARSE, exc)
@@ -456,7 +464,7 @@ def main(argv=None) -> int:
         return _fail(EXIT_SINGULAR, exc)
     except NonConvergenceError as exc:
         return _fail(EXIT_NO_CONVERGENCE, exc)
-    except ValueError as exc:  # out-of-range problem parameters
+    except ValueError as exc:  # usage errors, out-of-range problem parameters
         return _fail(EXIT_USAGE, exc)
 
 

@@ -5,7 +5,9 @@ Householder QR, one-sided Jacobi SVD) are written out longhand, column by
 column, and every triangular solve runs through one row-by-row substitution
 kernel, so the arithmetic order is fixed and every run reproduces bit for
 bit; the dense product is the one place we hand off to the BLAS. All
-functions are pure: inputs are never mutated.
+functions are pure: inputs are never mutated. The one piece of state is
+the spectral norm that ``norm2`` caches on a ``Matrix``; it stays valid
+only because ``Matrix.data`` is read-only, so never make it writeable.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .rng import Rng
 
 EPS = 2.0 ** -53  # binary64 unit roundoff
 
-NORM_SVD_CUTOFF = 64     # norm2 uses the Jacobi SVD up to this order
+NORM_SVD_CUTOFF = 64     # norm2 uses Jacobi sweeps up to this order
 POWER_TOL = 1e-6         # relative change stop for power iteration
 POWER_MAX_ITERS = 200
 JACOBI_MAX_SWEEPS = 30
@@ -39,12 +41,16 @@ def _as_array(data, ndim, what):
 
 
 class Matrix:
-    """Immutable dense real matrix."""
+    """Immutable dense real matrix.
 
-    __slots__ = ("data",)
+    ``_norm2`` caches the spectral norm once ``norm2`` has computed it.
+    """
+
+    __slots__ = ("data", "_norm2")
 
     def __init__(self, data):
         self.data = _as_array(data, 2, "matrix")
+        self._norm2: float | None = None
 
     @property
     def rows(self) -> int:
@@ -346,16 +352,36 @@ def svd_jacobi(a: Matrix, jacobi_tol: float | None = None,
     condition number below 1/(n eps).
     """
     n = _require_square(a, "svd_jacobi")
-    w = a.data.copy()
-    r = np.eye(n)
+    w = np.vstack([a.data, np.eye(n)])  # A over I: the bottom rows become R
+    sigma = np.sqrt(_jacobi_rotate(w, jacobi_tol, max_sweeps))
+    order = np.argsort(-sigma, kind="stable")
+    sigma = sigma[order]
+    w = w[:, order]
+    l = _complete_zero_columns(w[:n], sigma)
+    return SvdFactors(Matrix(l), sigma, Matrix(w[n:]))
+
+
+def _jacobi_rotate(w: np.ndarray, jacobi_tol: float | None = None,
+                   max_sweeps: int = JACOBI_MAX_SWEEPS) -> np.ndarray:
+    """One-sided Jacobi sweeps on the columns of w, in place, cyclic by rows
+    over column pairs; returns the squared column norms of the top block.
+
+    Only the top n rows (n = number of columns) enter the Gram test; rows
+    below them take no part and just follow the rotations, which is how
+    ``svd_jacobi`` accumulates its right factor. Deflated columns come
+    back with exact zero norms. See ``svd_jacobi`` for the tolerance, the
+    deflation floor and the error raised when the sweeps run out.
+    """
+    n = w.shape[1]
+    top = w[:n]  # same strides as an n x n array, so the Gram dots round alike
     if jacobi_tol is None:
         jacobi_tol = 2.0 * math.sqrt(n) * EPS
-    colsq = (w * w).sum(axis=0)
+    colsq = (top * top).sum(axis=0)
     tiny_sq = (n * EPS) ** 2 * float(colsq.max())  # deflation floor, squared
     off = math.inf
     converged = False
     for _ in range(max_sweeps):
-        colsq = (w * w).sum(axis=0)  # refreshed per sweep, updated per rotation
+        colsq = (top * top).sum(axis=0)  # refreshed per sweep, updated per rotation
         off = 0.0
         rotated = False
         for p in range(n - 1):
@@ -363,7 +389,7 @@ def svd_jacobi(a: Matrix, jacobi_tol: float | None = None,
                 app, aqq = colsq[p], colsq[q]
                 if app <= tiny_sq or aqq <= tiny_sq:
                     continue
-                apq = float(w[:, p] @ w[:, q])
+                apq = float(top[:, p] @ top[:, q])
                 bound = math.sqrt(app * aqq)
                 rel = abs(apq) / bound if bound > 0.0 else 0.0
                 if rel > off:
@@ -378,9 +404,6 @@ def svd_jacobi(a: Matrix, jacobi_tol: float | None = None,
                 wp = w[:, p].copy()
                 w[:, p] = c * wp - s * w[:, q]
                 w[:, q] = s * wp + c * w[:, q]
-                rp = r[:, p].copy()
-                r[:, p] = c * rp - s * r[:, q]
-                r[:, q] = s * rp + c * r[:, q]
                 colsq[p] = app - t * apq
                 colsq[q] = aqq + t * apq
         if not rotated:
@@ -391,33 +414,37 @@ def svd_jacobi(a: Matrix, jacobi_tol: float | None = None,
             f"Jacobi sweeps exhausted ({max_sweeps}); largest relative "
             f"off-diagonal Gram measure {off!r}", measure=off,
         )
-    colsq = (w * w).sum(axis=0)
+    colsq = (top * top).sum(axis=0)
     colsq[colsq <= tiny_sq] = 0.0  # deflated columns report exact zeros
-    sigma = np.sqrt(colsq)
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    w = w[:, order]
-    r = r[:, order]
-    l = _complete_zero_columns(w, sigma)
-    return SvdFactors(Matrix(l), sigma, Matrix(r))
+    return colsq
 
 
 def norm2(a: Matrix) -> float:
-    """Spectral norm: leading singular value, by SVD for small orders,
-    by power iteration on A^T A above the cutoff.
+    """Spectral norm: leading singular value, by one-sided Jacobi for small
+    square orders, by power iteration on A^T A otherwise.
 
-    The work runs on A scaled by the power of two that brings max |a_ij|
-    into [1/2, 1), as LAPACK's dlascl does, so squares neither overflow
-    nor underflow. The scaling is exact for every entry within 2^1021 of
-    the largest, so ordinary inputs give the same bits as unscaled.
+    The Jacobi path runs the sweeps of ``svd_jacobi`` on the values alone
+    (no right factor, no left-vector completion) and gives the same bits as
+    ``svd_jacobi(a).sigma[0]``. The work runs on A scaled by the power of
+    two that brings max |a_ij| into [1/2, 1), as LAPACK's dlascl does, so
+    squares neither overflow nor underflow. The scaling is exact for every
+    entry within 2^1021 of the largest, so ordinary inputs give the same
+    bits as unscaled. The result is kept on ``a``, so asking again costs
+    nothing.
     """
+    if a._norm2 is None:
+        a._norm2 = _norm2(a)
+    return a._norm2
+
+
+def _norm2(a: Matrix) -> float:
     peak = float(np.abs(a.data).max())
     if peak == 0.0:
         return 0.0
     e = math.frexp(peak)[1]
     d = np.ldexp(a.data, -e)
     if a.rows == a.cols and a.rows <= NORM_SVD_CUTOFF:
-        return math.ldexp(float(svd_jacobi(Matrix(d)).sigma[0]), e)
+        return math.ldexp(math.sqrt(float(_jacobi_rotate(d).max())), e)
     rng = Rng(_POWER_SEED)  # fixed stream: deterministic start vector
     q = rng.normals(a.cols)
     q /= math.sqrt(float(q @ q))

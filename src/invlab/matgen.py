@@ -84,6 +84,13 @@ def geometric_spectrum(n: int, sigma_1: float, sigma_n: float) -> np.ndarray:
             raise ValueError("a single singular value needs equal endpoints")
         return np.array([sigma_1])
     ratio = sigma_n / sigma_1
+    # A ratio below the smallest normal double is subnormal, so it has lost
+    # precision, or it is 0 and every interior value vanishes.
+    if ratio < np.finfo(np.float64).tiny:
+        raise ValueError(
+            f"sigma_1/sigma_n = {sigma_1!r}/{sigma_n!r} exceeds 1/(smallest "
+            "normal double): the ratio sigma_n/sigma_1 would lose precision"
+        )
     s = sigma_1 * ratio ** (np.arange(n) / (n - 1))
     s[0] = sigma_1    # pin the endpoints exactly
     s[-1] = sigma_n

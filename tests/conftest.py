@@ -25,6 +25,7 @@ from invlab import (
     residuals,
     solve_lu,
 )
+from invlab import core
 from invlab.rng import Rng, child_seed
 from invlab.matgen import RHS_STREAMS
 
@@ -116,3 +117,17 @@ def announce(capsys):
             print(f"[acceptance] {cid} {label}: {verdict} ({detail})")
 
     return _announce
+
+
+@pytest.fixture
+def jacobi_passes(monkeypatch):
+    """Shapes of the arrays the Jacobi kernel runs on, one entry per pass."""
+    passes = []
+    rotate = core._jacobi_rotate
+
+    def counted(w, *args):
+        passes.append(w.shape)
+        return rotate(w, *args)
+
+    monkeypatch.setattr(core, "_jacobi_rotate", counted)
+    return passes

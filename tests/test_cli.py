@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from invlab import Matrix, load_matrix, save_matrix, save_vector, Vector
-from invlab.cli import main
+from invlab.cli import ExperimentConfig, main, run_accuracy
 
 SMALL = ["--n", "12", "--sigma1", "1e2", "--sigman", "1e-2", "--seed", "3"]
 
@@ -29,6 +29,14 @@ def run_cli(args, env_extra=None):
         text=True,
         env=env,
     )
+
+
+def assert_usage_error(proc):
+    """Exit 2 with the JSON error record as the last stderr line, no traceback."""
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1])["error"]["exit_code"] == 2
 
 
 # ---------------------------------------------------------------- accuracy
@@ -69,6 +77,13 @@ def test_accuracy_json_record_structure(capsys):
     assert rec["bounds"]["tight_bound"] == 1e4 * 2.0**-53
     # timing lines are a stderr affair; the record must not contain them
     assert "timings" not in rec
+
+
+def test_accuracy_runs_one_jacobi_pass_per_distinct_matrix(jacobi_passes):
+    run_accuracy(ExperimentConfig(n=16, sigma_1=1e2, sigma_n=1e-2, seed=3))
+    # ||A|| (two LU tolerances, five backward errors), ||Ainv||, ||VA - I||,
+    # ||AV - I||, and ||V - Ainv|| for residuals and again for bad_inverse
+    assert jacobi_passes == [(16, 16)] * 6
 
 
 def test_accuracy_repeat_is_identical_in_process(capsys):
@@ -139,7 +154,7 @@ def test_seed_env_variable_fallback():
 
 def test_seed_env_invalid_is_usage_error():
     proc = run_cli(["accuracy", *SMALL[:-2]], env_extra={"INVLAB_SEED": "4x"})
-    assert proc.returncode == 2
+    assert_usage_error(proc)
 
 
 # -------------------------------------------------------------------- fig1
@@ -309,16 +324,15 @@ def test_solve_csv_output(tmp_path, capsys):
 
 def test_exit_usage_unknown_flag():
     proc = run_cli(["accuracy", "--definitely-not-a-flag"])
-    assert proc.returncode == 2
+    assert_usage_error(proc)
 
 
 def test_exit_usage_solve_inverse_requires_file(tmp_path, capsys):
     out = tmp_path / "p"
     main(["gen", *SMALL, "--rhs", "random-b", "--out", str(out)])
     capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", str(out / "a.txt"), str(out / "b.txt"), "--via", "inverse"])
-    assert exc.value.code == 2
+    proc = run_cli(["solve", str(out / "a.txt"), str(out / "b.txt"), "--via", "inverse"])
+    assert_usage_error(proc)
 
 
 def test_exit_parse_error_is_3(tmp_path, capsys):
@@ -365,14 +379,14 @@ def test_exit_nonconvergence_is_6(tmp_path, capsys):
     ["accuracy", "--sigma1", "1", "--sigman", "2"],
     ["accuracy", "--n", "0"],
     ["fig1", "--n", "1"],
+    ["accuracy", "--n", "4", "--sigma1", "1e200", "--sigman", "1e-200"],
 ])
 def test_exit_usage_out_of_range_problem(args):
     proc = run_cli(args)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert json.loads(proc.stderr)["error"]["exit_code"] == 2
+    assert_usage_error(proc)
+    assert json.loads(proc.stderr)["error"]["exit_code"] == 2  # the record alone
 
 
 def test_missing_subcommand_is_usage_error():
     proc = run_cli([])
-    assert proc.returncode == 2
+    assert_usage_error(proc)

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invlab import (
@@ -443,6 +443,43 @@ def _zero_or_binade_matrices(draw, orders):
 def test_norm2_power_of_two_scaling_exact_over_the_exponent_range(orders, data, k):
     d = data.draw(_zero_or_binade_matrices(orders))
     assert norm2(Matrix(np.ldexp(d, k))) == math.ldexp(norm2(Matrix(d)), k)
+
+
+def _leading_jacobi_sigma(d: np.ndarray) -> float:
+    """svd_jacobi's sigma[0] on d, prescaled the way norm2 prescales."""
+    e = math.frexp(float(np.abs(d).max()))[1]
+    return math.ldexp(float(svd_jacobi(Matrix(np.ldexp(d, -e))).sigma[0]), e)
+
+
+@st.composite
+def _low_rank_matrices(draw):
+    """Square Gaussian products of rank 0..n: their extra columns deflate."""
+    n = draw(st.integers(1, NORM_SVD_CUTOFF))
+    k = draw(st.integers(0, n))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return g.standard_normal((n, k)) @ g.standard_normal((k, n))
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.one_of(_zero_or_binade_matrices(st.integers(1, NORM_SVD_CUTOFF)),
+                   _low_rank_matrices()))
+@example(d=np.zeros((5, 5)))
+@example(d=np.array([[1.0, 2.0], [2.0, 4.0]]))           # rank 1: a column deflates
+@example(d=np.outer(np.arange(1.0, 65.0), np.ones(64)))  # rank 1 at the cutoff
+@example(d=np.diag([1.0, 3.0, 2.0]))
+@example(d=gaussian_matrix(1, 30).data)
+@example(d=gaussian_matrix(NORM_SVD_CUTOFF, 31).data)
+def test_norm2_is_the_leading_jacobi_singular_value(d):
+    assert norm2(Matrix(d)) == _leading_jacobi_sigma(d)
+
+
+def test_norm2_is_computed_once_per_matrix(jacobi_passes):
+    a = gaussian_matrix(12, 21)
+    first = norm2(a)
+    assert norm2(a) == first
+    assert jacobi_passes == [(12, 12)]
+    assert norm2(Matrix(a.data)) == first  # a new Matrix starts with no norm
+    assert len(jacobi_passes) == 2
 
 
 @pytest.mark.parametrize("n, c", [(80, 1e80), (4, 1e-170), (80, 1e-170), (4, 1e160)])

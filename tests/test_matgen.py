@@ -82,6 +82,12 @@ def test_geometric_spectrum_validation():
         geometric_spectrum(4, 1.0, 0.0)  # zero endpoint
     with pytest.raises(ValueError):
         geometric_spectrum(0, 2.0, 1.0)  # no points
+    with pytest.raises(ValueError, match="sigma_1/sigma_n"):
+        geometric_spectrum(4, 1e200, 1e-200)  # the ratio underflows to 0
+    with pytest.raises(ValueError, match="sigma_1/sigma_n"):
+        geometric_spectrum(4, 1.0, 1e-310)  # the ratio is subnormal
+    tiny = np.finfo(np.float64).tiny
+    assert geometric_spectrum(4, 1.0, tiny)[-1] == tiny  # smallest normal: kept
 
 
 @settings(max_examples=40, deadline=None)
