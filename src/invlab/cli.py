@@ -466,6 +466,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_NO_CONVERGENCE, exc)
     except ValueError as exc:  # usage errors, out-of-range problem parameters
         return _fail(EXIT_USAGE, exc)
+    except OSError as exc:  # an --out path that cannot be written
+        return _fail(EXIT_USAGE, exc)
 
 
 def _fail(code: int, exc: Exception) -> int:

@@ -12,6 +12,7 @@ only because ``Matrix.data`` is read-only, so never make it writeable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -445,9 +446,7 @@ def _norm2(a: Matrix) -> float:
     d = np.ldexp(a.data, -e)
     if a.rows == a.cols and a.rows <= NORM_SVD_CUTOFF:
         return math.ldexp(math.sqrt(float(_jacobi_rotate(d).max())), e)
-    rng = Rng(_POWER_SEED)  # fixed stream: deterministic start vector
-    q = rng.normals(a.cols)
-    q /= math.sqrt(float(q @ q))
+    q = _power_start(a.cols)
     s_prev = 0.0
     s = 0.0
     for _ in range(POWER_MAX_ITERS):
@@ -461,6 +460,16 @@ def _norm2(a: Matrix) -> float:
             break
         s_prev = s
     return math.ldexp(s, e)
+
+
+@functools.lru_cache(maxsize=8)
+def _power_start(n: int) -> np.ndarray:
+    """Unit start vector for power iteration at order n, from a fixed
+    stream, so every call sees the same one. Read-only: it is shared."""
+    q = Rng(_POWER_SEED).normals(n)
+    q /= math.sqrt(float(q @ q))
+    q.flags.writeable = False
+    return q
 
 
 def cond2(s: SvdFactors) -> float:

@@ -70,11 +70,10 @@ def forward_error(x_hat: Vector, x_ref: Vector) -> float:
     """Normwise relative error of x_hat against the reference."""
     if x_hat.n != x_ref.n:
         raise DimensionMismatchError("solution vectors differ in length")
-    ref = math.sqrt(float(x_ref.data @ x_ref.data))
+    ref = _vnorm(x_ref.data)
     if ref == 0.0:
         raise ValueError("reference solution is zero; relative error undefined")
-    diff = x_hat.data - x_ref.data
-    return math.sqrt(float(diff @ diff)) / ref
+    return _vnorm(x_hat.data - x_ref.data) / ref
 
 
 def backward_error(a: Matrix, x: Vector, b: Vector) -> float:
@@ -82,10 +81,10 @@ def backward_error(a: Matrix, x: Vector, b: Vector) -> float:
     if a.rows != b.n or a.cols != x.n:
         raise DimensionMismatchError("shapes do not line up for A x = b")
     r = a.data @ x.data - b.data
-    den = norm2(a) * math.sqrt(float(x.data @ x.data)) + math.sqrt(float(b.data @ b.data))
+    den = norm2(a) * _vnorm(x.data) + _vnorm(b.data)
     if den == 0.0:
         raise ValueError("x and b are both zero; backward error undefined")
-    return math.sqrt(float(r @ r)) / den
+    return _vnorm(r) / den
 
 
 def solve_report(a: Matrix, x: Vector, b: Vector,
@@ -97,8 +96,21 @@ def solve_report(a: Matrix, x: Vector, b: Vector,
         x_v=x,
         forward_error_rel=fwd,
         backward_error=backward_error(a, x, b),
-        residual_norm=math.sqrt(float(r @ r)),
+        residual_norm=_vnorm(r),
     )
+
+
+def _vnorm(x: np.ndarray) -> float:
+    """sqrt(x @ x) on x scaled by the power of two that brings max |x_i| into
+    [1/2, 1), as ``core.norm2`` does, so the squares neither overflow nor
+    underflow. The scaling is exact, so ordinary inputs give the same bits.
+    A norm beyond binary64 raises ValueError rather than read as inf."""
+    e = math.frexp(float(np.abs(x).max()))[1]  # 0 for a zero x
+    y = np.ldexp(x, -e)
+    try:
+        return math.ldexp(math.sqrt(float(y @ y)), e)
+    except OverflowError:
+        raise ValueError("vector 2-norm exceeds the binary64 range") from None
 
 
 def gamma_projection_spectrum(v: Matrix, a_inv_ref: Matrix, s: SvdFactors,

@@ -32,15 +32,38 @@ Derived draws are pinned too:
 
 Integer outputs are bit-exact everywhere; the float transforms additionally
 pin the operation order, so they agree wherever libm's log/cos/sin do.
+
+The spec is ``Rng.next_u64``, ``uniform`` and ``normal``: one Python-int
+step per word. ``normals`` evaluates the same spec faster for large counts.
+xoshiro is linear over GF(2) (Blackman & Vigna, "Scrambled linear
+pseudorandom number generators", ACM TOMS 2021): one step is a 256x256 bit
+matrix T acting on the state, so T^k jumps k words ahead. A block of L
+lanes starts lane j at offset j*m (m a power of two), the lanes step in
+lockstep as numpy uint64 arrays, and reading the (m, L) outputs lane by
+lane gives the sequence in draw order. Box-Muller then runs on whole
+blocks. Its ``sqrt`` and products are numpy, which rounds them correctly,
+like ``math``; its ``log``, ``cos`` and ``sin`` are ``math``'s mapped over
+the block, since numpy's own can differ from libm in the last bit. So the
+rule above holds for both paths by construction. A block with a u1 of
+exactly zero, the words past the last full lane and small counts run on
+the scalar spec.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+
+_LANE_STEPS = 256  # m: words per lane in a block, a power of two
+_LANES = 256       # L: lanes per block at most, a power of two
+# normals(count) below this stays on the scalar loop. The first lane draw in
+# a process builds the jump matrices (about 50 ms); three draws of this size
+# in a fresh process cost about the same on either path.
+_LANE_MIN = 16384
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -120,4 +143,98 @@ class Rng:
 
     def normals(self, count: int) -> np.ndarray:
         """Array of ``count`` Gaussians in draw order."""
-        return np.array([self.normal() for _ in range(count)], dtype=np.float64)
+        if count < _LANE_MIN:
+            return np.array([self.normal() for _ in range(count)], dtype=np.float64)
+        z = np.empty(count)
+        done = 0
+        if self._spare is not None:
+            z[0] = self.normal()
+            done = 1
+        done = self._lane_normals(z, done)
+        for k in range(done, count):
+            z[k] = self.normal()
+        return z
+
+    def _lane_normals(self, z: np.ndarray, i: int) -> int:
+        """Fill z[i:] by whole lane blocks, each m words per lane, so every
+        block ends on a whole pair; returns where the scalar loop resumes.
+        Expects no pending spare. ``_s`` advances past each block kept."""
+        while (lanes := min(_LANES, (len(z) - i) // _LANE_STEPS)) > 0:
+            words, end = _lane_words(self._s, lanes)
+            u = (words >> 11).astype(np.float64) * 2.0 ** -53
+            if not u[0::2].all():  # a u1 of 0.0: the scalar path redraws it
+                return i
+            r = np.sqrt(-2.0 * _map(math.log, u[0::2]))
+            a = 2.0 * math.pi * u[1::2]
+            z[i:i + len(u):2] = r * _map(math.cos, a)
+            z[i + 1:i + len(u):2] = r * _map(math.sin, a)
+            self._s = end
+            i += len(u)
+        return i
+
+
+def _map(f, x: np.ndarray) -> np.ndarray:
+    return np.array(list(map(f, x.tolist())), dtype=np.float64)
+
+
+def _step_lanes(s: list[np.ndarray], out: np.ndarray) -> None:
+    """One xoshiro256** step of the lanes s = [s0, s1, s2, s3] (uint64
+    arrays, updated in place) per row of out, which gets that step's words."""
+    s0, s1, s2, s3 = s
+    for o in out:
+        np.multiply(s1, 5, out=o)
+        np.bitwise_or(o << 7, o >> 57, out=o)
+        np.multiply(o, 9, out=o)
+        t = s1 << 17
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        np.bitwise_or(s3 << 45, s3 >> 19, out=s3)
+
+
+def _to_bits(states: np.ndarray) -> np.ndarray:
+    """(k, 4) uint64 states -> (k, 256) 0/1 rows, bit b of word w at 64*w + b."""
+    return np.unpackbits(states.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+
+
+def _from_bits(bits: np.ndarray) -> np.ndarray:
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8").astype(np.uint64)
+
+
+def _gf2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y over GF(2). The float64 product is exact: entries are 0/1 and
+    every sum is at most 256."""
+    return (x.astype(np.float64) @ y.astype(np.float64) % 2).astype(np.uint8)
+
+
+@functools.lru_cache(maxsize=1)
+def _lane_jumps() -> tuple[np.ndarray, ...]:
+    """T^(m * 2^i) for 2^i < L as uint8 bit matrices: a state's bit row
+    times the i-th one is that state m * 2^i words ahead."""
+    basis = _from_bits(np.eye(256, dtype=np.uint8))  # row k: the state e_k
+    s = [basis[:, w].copy() for w in range(4)]
+    _step_lanes(s, np.empty((1, 256), np.uint64))
+    p = _to_bits(np.stack(s, axis=1))  # row k: T e_k, so x @ p is T x
+    for _ in range(_LANE_STEPS.bit_length() - 1):
+        p = _gf2(p, p)
+    jumps = [p]  # T^m
+    while len(jumps) < _LANES.bit_length() - 1:  # up to T^(m L / 2)
+        jumps.append(_gf2(jumps[-1], jumps[-1]))
+    return tuple(jumps)
+
+
+def _lane_words(s: list[int], lanes: int) -> tuple[np.ndarray, list[int]]:
+    """The next lanes * m words from state s in draw order, and the state
+    after them. Lane starts are seeded by doubling: X <- [X, X T^(m * 2^i)]."""
+    x = _to_bits(np.array([s], dtype=np.uint64))
+    for jump in _lane_jumps():
+        if len(x) >= lanes:
+            break
+        x = np.vstack([x, _gf2(x[:lanes - len(x)], jump)])
+    starts = _from_bits(x)
+    lane = [starts[:, w].copy() for w in range(4)]
+    out = np.empty((_LANE_STEPS, lanes), np.uint64)
+    _step_lanes(lane, out)
+    return out.T.ravel(), [int(w[-1]) for w in lane]

@@ -4,6 +4,8 @@ Fast in-process runs via main(argv) cover structure and error mapping;
 subprocess runs cover byte-identical output and the seed environment
 variable, which have to hold across interpreter invocations.
 """
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -11,9 +13,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from invlab import Matrix, load_matrix, save_matrix, save_vector, Vector
+from invlab import InverseMethod, Matrix, load_matrix, save_matrix, save_vector, Vector
 from invlab.cli import ExperimentConfig, main, run_accuracy
+from invlab.core import EPS
 
 SMALL = ["--n", "12", "--sigma1", "1e2", "--sigman", "1e-2", "--seed", "3"]
 
@@ -84,6 +89,18 @@ def test_accuracy_runs_one_jacobi_pass_per_distinct_matrix(jacobi_passes):
     # ||A|| (two LU tolerances, five backward errors), ||Ainv||, ||VA - I||,
     # ||AV - I||, and ||V - Ainv|| for residuals and again for bad_inverse
     assert jacobi_passes == [(16, 16)] * 6
+
+
+@pytest.mark.parametrize("sigmas", [("1e308", "1e307"), ("1e200", "1e195")])
+def test_accuracy_at_extreme_scale(sigmas, capsys):
+    # the reference solution's entries sit near 1/sigma; their squares
+    # under- or overflow unless the vector norms are prescaled
+    assert main(["accuracy", "--n", "4", "--sigma1", sigmas[0], "--sigman", sigmas[1]]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    bound = 1e3 * rec["kappa"] * EPS  # A03's yardstick
+    for mode in rec["solves"].values():
+        for rep in mode.values():
+            assert 0.0 < rep["forward_error_rel"] <= bound
 
 
 def test_accuracy_repeat_is_identical_in_process(capsys):
@@ -390,3 +407,91 @@ def test_exit_usage_out_of_range_problem(args):
 def test_missing_subcommand_is_usage_error():
     proc = run_cli([])
     assert_usage_error(proc)
+
+
+# ---------------------------------------------------------- fuzzed flag grid
+
+_N = ["0", "-1", "1", "2", "3", "8", "nan", "inf", "1e3", "x"]  # n never above 8
+_SIGMA = ["1", "1e4", "1e-4", "0", "-1", "nan", "inf", "-inf", "1e308", "1e-308",
+          "5e-324", "1e400", "x"]
+_SEED = ["0", "-1", str(2**64 - 1), str(10**30), "nan", "1e3"]
+_METHODS = [m.value for m in InverseMethod] + ["bogus"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Name -> path: good, singular, malformed and mis-shaped inputs."""
+    d = tmp_path_factory.mktemp("fuzz")
+    a = Matrix(np.array([[4.0, 1, 0, 0], [1, 3, 1, 0], [0, 1, 2, 1], [0, 0, 1, 5]]))
+    texts = {
+        "bad": "2 2\n1 2\n",
+        "inf": "2 2\n1 inf\n0 1\n",
+        "empty": "",
+    }
+    for name, text in texts.items():
+        (d / name).write_text(text)
+    save_matrix(d / "a", a)
+    save_matrix(d / "ainv", Matrix(np.linalg.inv(a.data)))
+    save_matrix(d / "singular", Matrix(np.ones((4, 4))))
+    save_matrix(d / "rect", Matrix(np.ones((2, 3))))
+    save_matrix(d / "one", Matrix(np.array([[2.0]])))
+    save_matrix(d / "huge", Matrix(np.array([[1e308, 1e308], [1e308, -1e308]])))
+    save_vector(d / "b", Vector(np.arange(1.0, 5.0)))
+    save_vector(d / "short", Vector(np.ones(2)))
+    save_vector(d / "zero", Vector(np.zeros(4)))
+    paths = {p.name: str(p) for p in d.iterdir()}
+    paths["missing"] = str(d / "missing")
+    paths["unwritable"] = str(d / "a" / "out")  # below a plain file
+    paths["outdir"] = str(d / "out")
+    return paths
+
+
+def _grid(draw, options):
+    """Each flag present or not, with a value from its grid; maybe a stray flag."""
+    argv = []
+    for flag, values in options.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(values))]
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(0, len(argv))), "--bogus")
+    return argv
+
+
+def _argv(draw, command, f):
+    n = ["--n", draw(st.sampled_from(_N))]  # always given: the default is 256
+    problem = {"--sigma1": _SIGMA, "--sigman": _SIGMA, "--seed": _SEED}
+    matrices = [f[k] for k in ("a", "singular", "bad", "inf", "empty", "rect",
+                               "one", "huge", "missing")]
+    vectors = [f[k] for k in ("b", "short", "zero", "huge", "a", "bad", "missing")]
+    if command == "accuracy":
+        return n + _grid(draw, {**problem, "--method": _METHODS,
+                                "--format": ["json", "csv", "xml"],
+                                "--out": [f["unwritable"]]})
+    if command == "fig1":
+        return n + _grid(draw, {**problem, "--method": _METHODS})
+    if command == "gen":
+        return n + _grid(draw, {**problem, "--rhs": ["random-b", "random-x", "bogus"],
+                                "--out": [f["outdir"], f["unwritable"]]})
+    if command == "invert":
+        return [draw(st.sampled_from(matrices)),
+                *_grid(draw, {"--method": _METHODS})]
+    return [draw(st.sampled_from(matrices)), draw(st.sampled_from(vectors)),
+            *_grid(draw, {"--via": ["inverse", "lu", "qr", "bogus"],
+                          "--inverse-file": [f["ainv"], f["singular"], f["rect"],
+                                             f["bad"]],
+                          "--xref": vectors,
+                          "--format": ["json", "csv"]})]
+
+
+@pytest.mark.parametrize("command", ["accuracy", "fig1", "gen", "invert", "solve"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_fuzzed_flags_exit_with_a_code_and_a_record(command, fuzz_files, data):
+    argv = [command, *_argv(data.draw, command, fuzz_files)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # nothing may escape
+    assert code in {0, 2, 3, 4, 5, 6}
+    if code:
+        record = json.loads(err.getvalue().splitlines()[-1])
+        assert record["error"]["exit_code"] == code

@@ -32,6 +32,7 @@ from invlab import (
     solve_qr,
     svd_jacobi,
 )
+from invlab import core
 from invlab.core import EPS, NORM_SVD_CUTOFF
 from invlab.rng import Rng
 
@@ -409,6 +410,19 @@ def test_norm2_power_iteration_path():
     np.fill_diagonal(d, diag)
     est = norm2(Matrix(d))
     assert abs(est - 3.0) <= 1e-5 * 3.0
+
+
+def test_norm2_draws_one_power_start_vector_per_order(monkeypatch):
+    a, b, c = gaussian_matrix(80, 1), gaussian_matrix(80, 2), gaussian_matrix(81, 3)
+    core._power_start.cache_clear()
+    draws = []
+    normals = Rng.normals
+    monkeypatch.setattr(Rng, "normals", lambda self, count: draws.append(count)
+                        or normals(self, count))
+    assert norm2(a) != norm2(b)
+    assert draws == [80]
+    norm2(c)
+    assert draws == [80, 81]
 
 
 def test_norm2_rectangular():

@@ -4,8 +4,12 @@ Diagonal cases give closed-form values; scale invariance is checked
 exactly with power-of-two factors (those multiplications are exact, so
 the measures must come out bit-identical).
 """
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invlab import (
     InverseMethod,
@@ -98,6 +102,20 @@ def test_backward_error_power_of_two_scale_invariance():
     for c in (2.0**8, 2.0**-8):
         scaled = backward_error(Matrix(c * a.data), x, Vector(c * b.data))
         assert scaled == eta
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), k=st.integers(-900, 900))
+def test_errors_unchanged_by_power_of_two_scaling(n, seed, k):
+    # vector norms must neither overflow nor underflow at any scale here, so
+    # the ratios are the same bits as unscaled
+    g = np.random.default_rng(seed)
+    a, x, b, x_ref = (g.standard_normal(shape) for shape in ((n, n), n, n, n))
+    fwd = forward_error(Vector(x), Vector(x_ref))
+    assert forward_error(Vector(np.ldexp(x, k)), Vector(np.ldexp(x_ref, k))) == fwd
+    eta = backward_error(Matrix(a), Vector(x), Vector(b))
+    assert eta == backward_error(Matrix(np.ldexp(a, k)), Vector(x), Vector(np.ldexp(b, k)))
+    assert eta == backward_error(Matrix(a), Vector(np.ldexp(x, k)), Vector(np.ldexp(b, k)))
 
 
 def test_solve_report_bundles_measures():

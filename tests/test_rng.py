@@ -3,7 +3,8 @@
 The stream is part of the package contract (outputs must be reproducible
 across platforms), so these tests pin actual values.  The splitmix64 vector
 is the canonical one for state 0; the xoshiro256** outputs are regression
-pins computed from the seeded state.
+pins computed from the seeded state. The lane path of ``normals`` is held
+to the scalar spec (``normal`` in a loop): same values, same state after.
 """
 import math
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invlab import rng as rng_mod
 from invlab.rng import Rng, child_seed, _splitmix64
 
 # canonical splitmix64 output sequence for initial state 0
@@ -131,3 +133,104 @@ def test_uniform_always_in_unit_interval(seed):
     r = Rng(seed)
     for _ in range(16):
         assert 0.0 <= r.uniform() < 1.0
+
+
+# ------------------------------------------------------------ lane path
+
+LANE_MIN = rng_mod._LANE_MIN
+BLOCK = rng_mod._LANES * rng_mod._LANE_STEPS  # words (and normals) per full block
+
+
+def scalar_normals(r, count):
+    """The spec: one ``normal()`` per value."""
+    return np.array([r.normal() for _ in range(count)], dtype=np.float64)
+
+
+def assert_lane_matches_spec(a, b, count):
+    """a draws by ``normals``, its twin b by the spec; values and state agree,
+    and the streams stay in step afterwards."""
+    z = a.normals(count)
+    ref = scalar_normals(b, count)
+    assert z.dtype == np.float64 and z.shape == (count,)
+    assert np.array_equal(z, ref)
+    assert a._s == b._s and a._spare == b._spare
+    assert a.normal() == b.normal()
+    assert a.next_u64() == b.next_u64()
+    assert a.normal() == b.normal()
+
+
+@pytest.mark.parametrize("spare", [False, True])
+@pytest.mark.parametrize("count", [
+    LANE_MIN - 1,                           # scalar loop
+    LANE_MIN,                               # whole lanes, no tail
+    LANE_MIN + 1,                           # odd: the tail leaves a spare
+    LANE_MIN + rng_mod._LANE_STEPS + 2,     # a lane count off a power of two
+])
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_lane_normals_match_scalar_spec(seed, count, spare):
+    a, b = Rng(seed), Rng(seed)
+    if spare:  # a pending sine goes out first
+        assert a.normal() == b.normal()
+    assert_lane_matches_spec(a, b, count)
+
+
+def test_lane_normals_span_blocks():
+    a, b = Rng(3), Rng(3)
+    assert a.normal() == b.normal()
+    assert_lane_matches_spec(a, b, 2 * BLOCK + 3)
+
+
+def test_lane_normals_redraw_falls_back_to_scalar():
+    # s1 = 0 makes the next word 0, so the first u1 is exactly 0.0 and the
+    # spec redraws it; the block is dropped and the scalar loop finishes
+    a, b = Rng(0), Rng(0)
+    a._s = [1, 0, 0, 0]
+    b._s = [1, 0, 0, 0]
+    assert_lane_matches_spec(a, b, LANE_MIN + 1)
+
+
+def _state_with_first_word(word):
+    """A state whose next xoshiro256** word is ``word``: out depends on s1
+    alone, as rotl(s1 * 5, 7) * 9, and each step of that is invertible."""
+    mask = 2**64 - 1
+    x = word * pow(9, -1, 2**64) & mask
+    x = (x >> 7 | x << 57) & mask
+    s1 = x * pow(5, -1, 2**64) & mask
+    return [1, s1, 2, 3]
+
+
+def test_lane_transform_uses_libm_log():
+    # find a state whose first pair of normals differs between numpy's log
+    # and libm's, and require libm's from the lane path
+    sample, twin = Rng(2), Rng(0)
+    for _ in range(20000):
+        twin._s = _state_with_first_word(sample.next_u64())
+        state = list(twin._s)
+        u1, u2 = twin.uniform(), twin.uniform()
+        if u1 == 0.0:
+            continue
+        a = 2.0 * math.pi * u2
+        spec = [math.sqrt(-2.0 * math.log(u1)) * f(a) for f in (math.cos, math.sin)]
+        r_np = float(np.sqrt(-2.0 * np.log(u1)))
+        if spec != [r_np * f(a) for f in (math.cos, math.sin)]:
+            break
+    else:
+        pytest.skip("numpy's log agrees with libm's on this sample")
+    r = Rng(0)
+    r._s = state
+    assert list(r.normals(LANE_MIN)[:2]) == spec
+
+
+def test_lane_transform_calls_no_numpy_transcendentals(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the block transform must use math.log/cos/sin")
+
+    blocks = []
+    lane_words = rng_mod._lane_words
+    monkeypatch.setattr(rng_mod, "_lane_words",
+                        lambda *args: blocks.append(1) or lane_words(*args))
+    for name in ("log", "cos", "sin"):
+        monkeypatch.setattr(np, name, refuse)
+    a, b = Rng(5), Rng(5)
+    assert np.array_equal(a.normals(LANE_MIN), scalar_normals(b, LANE_MIN))
+    assert blocks  # the lane path ran
