@@ -29,6 +29,10 @@ POWER_MAX_ITERS = 200
 JACOBI_MAX_SWEEPS = 30
 
 _POWER_SEED = 0x6E6F726D32  # fixed start-vector stream for power iteration
+# Above this column norm, squares lost to underflow change x @ x by less than
+# n 2^-103 relatively, so the unscaled sum stands. It is kept because the dot
+# on the strided column rounds differently from one on a scaled copy.
+_QR_NORM_SAFE_MIN = 2.0 ** -486
 
 
 def _as_array(data, ndim, what):
@@ -161,17 +165,20 @@ def lu_gepp(a: Matrix) -> LuFactors:
     tol = n * EPS * scale
     lu = a.data.copy()
     perm = np.arange(n)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))  # argmax ties -> lowest row
-        if abs(lu[p, k]) <= tol:
-            raise SingularMatrixError(
-                f"singular pivot {float(lu[p, k])!r} at elimination step {k}", detail=k
-            )
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+        for k in range(n):
+            p = k + int(np.argmax(np.abs(lu[k:, k])))  # argmax ties -> lowest row
+            if abs(lu[p, k]) <= tol:
+                raise SingularMatrixError(
+                    f"singular pivot {float(lu[p, k])!r} at elimination step {k}", detail=k
+                )
+            if p != k:
+                lu[[k, p]] = lu[[p, k]]
+                perm[[k, p]] = perm[[p, k]]
+            lu[k + 1:, k] /= lu[k, k]
+            lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+    if not np.isfinite(lu).all():
+        raise ValueError("LU factors overflow the binary64 range")
     lu.flags.writeable = False
     perm.flags.writeable = False
     return LuFactors(lu, perm)
@@ -235,6 +242,9 @@ def qr_householder(a: Matrix) -> QrFactors:
     for k in range(n):
         x = qr[k:, k]
         normx = math.sqrt(float(x @ x))
+        if not _QR_NORM_SAFE_MIN <= normx < math.inf:  # squares under- or overflowed
+            xs, e = _prescale(x)
+            normx = math.ldexp(math.sqrt(float(xs @ xs)), e)
         if normx == 0.0:
             continue  # zero column: identity reflector, tau stays 0
         alpha = -normx if x[0] >= 0.0 else normx
@@ -438,12 +448,16 @@ def norm2(a: Matrix) -> float:
     return a._norm2
 
 
+def _prescale(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(d, e) with d = 2^-e x and max |d| in [1/2, 1), as LAPACK's dlascl
+    scales: squares of d neither overflow nor underflow, and the scaling is
+    exact for every entry within 2^1021 of the largest. A zero x gives e = 0."""
+    e = math.frexp(max(float(x.max()), -float(x.min())))[1]
+    return np.ldexp(x, -e), e
+
+
 def _norm2(a: Matrix) -> float:
-    peak = float(np.abs(a.data).max())
-    if peak == 0.0:
-        return 0.0
-    e = math.frexp(peak)[1]
-    d = np.ldexp(a.data, -e)
+    d, e = _prescale(a.data)
     if a.rows == a.cols and a.rows <= NORM_SVD_CUTOFF:
         return math.ldexp(math.sqrt(float(_jacobi_rotate(d).max())), e)
     q = _power_start(a.cols)
@@ -460,6 +474,32 @@ def _norm2(a: Matrix) -> float:
             break
         s_prev = s
     return math.ldexp(s, e)
+
+
+def _ldexp_or_inf(s: float, e: int) -> float:
+    try:
+        return math.ldexp(s, e)
+    except OverflowError:
+        return math.inf
+
+
+def _norm2_floor(x: np.ndarray) -> float:
+    """||x q0|| for the unit start vector q0 of power iteration: norm2 never
+    returns less, up to rounding. It is norm2's first power step, and the
+    Rayleigh values of the steps after it never decrease; on the Jacobi path
+    sigma_1 >= ||x q|| for every unit q. Prescaled like norm2; inf when the
+    norm is beyond binary64."""
+    d, e = _prescale(x)
+    y = d @ _power_start(x.shape[1])
+    return _ldexp_or_inf(math.sqrt(float(y @ y)), e)
+
+
+def _norm2_ceil(x: np.ndarray) -> float:
+    """Frobenius norm, which norm2 never exceeds, up to rounding: it is at
+    least sigma_1. Prescaled like norm2; inf when the norm is beyond binary64."""
+    d, e = _prescale(x)
+    flat = d.reshape(-1)
+    return _ldexp_or_inf(math.sqrt(float(flat @ flat)), e)
 
 
 @functools.lru_cache(maxsize=8)

@@ -17,6 +17,9 @@ import numpy as np
 from .core import (
     EPS,
     Matrix,
+    _norm2_ceil,
+    _norm2_floor,
+    _prescale,
     _substitute,
     identity,
     lu_gepp,
@@ -28,6 +31,9 @@ from .errors import DimensionMismatchError, SingularMatrixError
 
 NEWTON_TOL = 100.0     # residual stop: tol * kappa_est * EPS
 NEWTON_MAX_ITER = 100
+# The stop test is screened with floor(R) <= ||R|| and ||V|| <= ceil(V),
+# which hold up to O(n eps) rounding in the bounds; this factor absorbs it.
+NEWTON_SCREEN_SLACK = 2.0
 
 
 class InverseMethod(Enum):
@@ -77,13 +83,18 @@ def invert_getri_style(a: Matrix) -> InverseResult:
 
 
 def default_newton_seed(a: Matrix) -> Matrix:
-    """Classical safe start V0 = A^T / (||A||_1 ||A||_inf)."""
-    d = a.data
+    """Classical safe start V0 = A^T / (||A||_1 ||A||_inf).
+
+    Computed on A prescaled by a power of two, as ``norm2`` does, so the
+    norm product neither overflows nor underflows; ordinary inputs give the
+    same bits as unscaled.
+    """
+    d, e = _prescale(a.data)
     norm1 = float(np.abs(d).sum(axis=0).max())
     norminf = float(np.abs(d).sum(axis=1).max())
     if norm1 == 0.0:
         raise SingularMatrixError("cannot seed the iteration from a zero matrix")
-    return Matrix(d.T / (norm1 * norminf))
+    return Matrix(np.ldexp(d.T / (norm1 * norminf), -e))
 
 
 def _newton(a: Matrix, v0: Matrix | None, tol: float, max_iter: int,
@@ -113,6 +124,10 @@ def _newton(a: Matrix, v0: Matrix | None, tol: float, max_iter: int,
         if not (np.isfinite(nxt).all() and np.isfinite(r).all()):
             break  # diverged: keep the last finite iterate, report not converged
         varr = nxt
+        # a cheap bracket rules out most iterates before the exact norms
+        kap_ceil = kappa_est if kappa_est is not None else norm_a * _norm2_ceil(varr)
+        if _norm2_floor(r) > NEWTON_SCREEN_SLACK * tol * kap_ceil * EPS:
+            continue
         resid = norm2(Matrix(r))
         kap = kappa_est if kappa_est is not None else norm_a * norm2(Matrix(varr))
         if resid <= tol * kap * EPS:
@@ -129,6 +144,10 @@ def newton_left(a: Matrix, v0: Matrix | None = None, tol: float = NEWTON_TOL,
 
     Stops once ||V A - I|| <= tol * kappa_est * eps; without a caller-supplied
     conditioning estimate, kappa_est is re-estimated as ||A|| ||V|| per step.
+    The exact 2-norms run only on iterates that pass a cheap screen: when
+    ||R q0|| (q0 the power-iteration start, a floor under ||R||) exceeds twice
+    the threshold with ||V||_F (a ceiling over ||V||) in place of ||V||, the
+    test cannot pass. The iterates never depend on a norm.
     """
     return _newton(a, v0, tol, max_iter, kappa_est, left=True)
 

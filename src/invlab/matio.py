@@ -22,8 +22,7 @@ def format_float(x: float) -> str:
 
 def matrix_to_text(m: Matrix) -> str:
     lines = [f"{m.rows} {m.cols}"]
-    for i in range(m.rows):
-        lines.append(" ".join(format_float(v) for v in m.data[i, :]))
+    lines += [" ".join(format_float(v) for v in row) for row in m.data.tolist()]
     return "\n".join(lines) + "\n"
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS, Matrix, SvdFactors, Vector, matmul, norm2
+from .core import EPS, Matrix, SvdFactors, Vector, _prescale, matmul, norm2
 from .errors import DimensionMismatchError
 
 
@@ -105,8 +105,7 @@ def _vnorm(x: np.ndarray) -> float:
     [1/2, 1), as ``core.norm2`` does, so the squares neither overflow nor
     underflow. The scaling is exact, so ordinary inputs give the same bits.
     A norm beyond binary64 raises ValueError rather than read as inf."""
-    e = math.frexp(float(np.abs(x).max()))[1]  # 0 for a zero x
-    y = np.ldexp(x, -e)
+    y, e = _prescale(x)
     try:
         return math.ldexp(math.sqrt(float(y @ y)), e)
     except OverflowError:

@@ -103,6 +103,13 @@ def test_accuracy_at_extreme_scale(sigmas, capsys):
             assert 0.0 < rep["forward_error_rel"] <= bound
 
 
+def test_accuracy_newton_at_tiny_scale(capsys):
+    # ||A||_1 ||A||_inf underflows to 0 here unless the Newton seed is prescaled
+    args = ["--n", "8", "--sigma1", "1e-300", "--sigman", "1e-301", "--method", "newton-right"]
+    assert main(["accuracy", *args]) == 0
+    assert json.loads(capsys.readouterr().out)["inverse"]["converged"] is True
+
+
 def test_accuracy_repeat_is_identical_in_process(capsys):
     main(["accuracy", *SMALL])
     first = capsys.readouterr().out
@@ -312,6 +319,14 @@ def test_solve_via_qr_small_backward_error(tmp_path, capsys):
     assert solved["forward_error_rel"] is None  # no --xref given
 
 
+def test_solve_via_qr_at_tiny_scale(tmp_path, capsys):
+    # the squares of 1e-170 underflow unless the column norms are prescaled
+    save_matrix(tmp_path / "a.txt", Matrix(np.array([[1e-170, 2e-170], [3e-170, -1e-170]])))
+    save_vector(tmp_path / "b.txt", Vector(np.array([1e-170, 1e-170])))
+    assert main(["solve", str(tmp_path / "a.txt"), str(tmp_path / "b.txt"), "--via", "qr"]) == 0
+    assert json.loads(capsys.readouterr().out)["backward_error"] <= 1e-15
+
+
 def test_solve_csv_output(tmp_path, capsys):
     out = tmp_path / "prob"
     main(["gen", *SMALL, "--rhs", "random-b", "--out", str(out)])
@@ -383,6 +398,15 @@ def test_exit_singular_is_5(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().err)
     assert payload["error"]["exit_code"] == 5
     assert payload["error"]["type"] == "SingularMatrixError"
+
+
+@pytest.mark.parametrize("method", ["getri", "rows-gepp", "cols-gepp"])
+def test_exit_lu_overflow_is_2(tmp_path, method):
+    # the Schur update overflows; the factors must not reach the inverse
+    save_matrix(tmp_path / "a.txt", Matrix(np.array([[1e308, 1e308], [1e308, -1e308]])))
+    proc = run_cli(["invert", str(tmp_path / "a.txt"), "--method", method])
+    assert_usage_error(proc)
+    assert "overflow" in json.loads(proc.stderr)["error"]["message"]
 
 
 def test_exit_nonconvergence_is_6(tmp_path, capsys):

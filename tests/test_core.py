@@ -487,6 +487,23 @@ def test_norm2_is_the_leading_jacobi_singular_value(d):
     assert norm2(Matrix(d)) == _leading_jacobi_sigma(d)
 
 
+@settings(max_examples=50, deadline=None)
+@given(d=st.one_of(_zero_or_binade_matrices(st.integers(1, NORM_SVD_CUTOFF)),
+                   _zero_or_binade_matrices(st.integers(NORM_SVD_CUTOFF + 1, 80))),
+       k=st.integers(-1000, 1000))
+@example(d=np.array([[3.0, 0.0], [4.0, 0.0]]), k=0)  # rank one: ||x||_F = ||x||_2
+@example(d=np.eye(80), k=0)  # power path: q0 is a top singular vector
+def test_norm2_bracket_holds_over_the_exponent_range(d, k):
+    # Newton's screen: ||x q0|| <= ||x||_2 <= ||x||_F in real arithmetic.
+    # Where two of them coincide, rounding can cross them by up to about
+    # n eps (seen on rank-one matrices), which the screen's factor absorbs.
+    x = np.ldexp(d, k)
+    rounding = 1.0 + 2 * x.shape[0] * EPS
+    exact = norm2(Matrix(x))
+    assert core._norm2_floor(x) <= exact * rounding
+    assert exact <= core._norm2_ceil(x) * rounding
+
+
 def test_norm2_is_computed_once_per_matrix(jacobi_passes):
     a = gaussian_matrix(12, 21)
     first = norm2(a)

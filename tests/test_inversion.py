@@ -6,6 +6,8 @@ generator's construction inverse with residual-style bounds.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invlab import (
     DimensionMismatchError,
@@ -25,7 +27,9 @@ from invlab import (
     residuals,
     strassen_invert,
 )
-from invlab.core import EPS
+from invlab import inversion
+from invlab.core import EPS, NORM_SVD_CUTOFF
+from invlab.inversion import NEWTON_MAX_ITER, NEWTON_TOL
 
 
 DIRECT_METHODS = (
@@ -167,6 +171,14 @@ def test_newton_divergence_reports_not_converged(n):
     assert np.isfinite(res.v.data).all()
 
 
+def test_default_newton_seed_at_extreme_scale():
+    # ||A||_1 ||A||_inf under- or overflows at these scales unless A is prescaled
+    seed = default_newton_seed(Matrix(np.diag([2.0, 4.0])))
+    for k in (-1000, -600, 600, 1000):
+        scaled = default_newton_seed(Matrix(np.ldexp(np.diag([2.0, 4.0]), k)))
+        assert np.array_equal(scaled.data, np.ldexp(seed.data, -k))
+
+
 def test_newton_seed_shape_mismatch():
     with pytest.raises(DimensionMismatchError):
         newton_left(identity(2), v0=identity(3))
@@ -222,3 +234,136 @@ def test_invert_dispatch_reports_method():
         res = invert(p.a, method, kappa_est=p.kappa)
         assert res.method is method
         assert res.v.rows == 4
+
+
+# ------------------------------------------- Newton against a reference loop
+
+
+def _reference_newton(a, left, norm, kappa_est=None, v0=None, max_iter=NEWTON_MAX_ITER,
+                      tol=NEWTON_TOL):
+    """The Newton loop with no screen: the plain recurrence, and the exact
+    stop test norm(R) <= tol * kappa * eps on every iterate it cannot rule out.
+
+    On the Jacobi path (n <= NORM_SVD_CUTOFF) norm2 is sigma_1 to rounding, so
+    an iterate whose LAPACK sigma_1 clears the threshold eightfold cannot pass;
+    it skips the exact test, which costs about 0.2 s per norm at n = 64.
+    Above the cutoff every iterate takes the exact test.
+    """
+    d = a.data
+    v = (v0 if v0 is not None else default_newton_seed(a)).data
+    n = a.rows
+    eye = np.eye(n)
+    norm_a = norm(a)
+    for t in range(1, max_iter + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            nxt = (2.0 * eye - v @ d) @ v if left else v @ (2.0 * eye - d @ v)
+            r = nxt @ d - eye if left else d @ nxt - eye
+        if not (np.isfinite(nxt).all() and np.isfinite(r).all()):
+            return v, t, False
+        v = nxt
+        if n <= NORM_SVD_CUTOFF:
+            kap = kappa_est if kappa_est is not None else norm_a * np.linalg.norm(v, 2)
+            if np.linalg.norm(r, 2) > 8.0 * tol * kap * EPS:
+                continue
+        kap = kappa_est if kappa_est is not None else norm_a * norm(Matrix(v))
+        if norm(Matrix(r)) <= tol * kap * EPS:
+            return v, t, True
+    return v, max_iter, False
+
+
+@pytest.fixture
+def shared_norm(monkeypatch):
+    """norm2 memoized on the bits of its argument and installed in the
+    inversion module, so an exact norm the library and the reference loop
+    both take runs once."""
+    memo = {}
+
+    def norm(m):
+        key = (m.data.shape, m.data.tobytes())
+        if key not in memo:
+            memo[key] = norm2(m)
+        return memo[key]
+
+    monkeypatch.setattr(inversion, "norm2", norm)
+    return norm
+
+
+def _assert_matches_reference(res, ref):
+    v, iterations, converged = ref
+    assert (res.iterations, res.converged) == (iterations, converged)
+    assert np.array_equal(res.v.data, v)
+
+
+@pytest.mark.parametrize("left", [True, False], ids=["left", "right"])
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("n", [2, 16, 64, 65, 80])
+def test_newton_matches_the_unscreened_loop(n, seed, left, shared_norm):
+    p = build_problem(n, seed=seed)  # kappa = 1e8, the CLI default
+    newton = newton_left if left else newton_right
+    for kappa_est in (None, p.kappa):
+        res = newton(p.a, kappa_est=kappa_est)
+        assert res.converged
+        _assert_matches_reference(res, _reference_newton(p.a, left, shared_norm, kappa_est))
+
+
+@pytest.mark.parametrize("with_kappa", [False, True], ids=["no-kappa", "kappa"])
+@pytest.mark.parametrize("left", [True, False], ids=["left", "right"])
+@pytest.mark.parametrize("n", [2, 16, 65, 80])
+def test_newton_stops_on_an_iterate_at_the_threshold(n, left, with_kappa, shared_norm):
+    # tol is set so one iterate's residual meets the threshold with no room
+    # to spare: the screen must let exactly that iterate through
+    p = build_problem(n, seed=1)
+    newton = newton_left if left else newton_right
+    kappa_est = p.kappa if with_kappa else None
+    last = newton(p.a, kappa_est=kappa_est).iterations - 1
+    v = newton(p.a, max_iter=last).v
+    r = v.data @ p.a.data - np.eye(n) if left else p.a.data @ v.data - np.eye(n)
+    kap = kappa_est if with_kappa else norm2(p.a) * norm2(v)
+    tol = norm2(Matrix(r)) / (kap * EPS) * (1.0 + 1e-9)
+    res = newton(p.a, kappa_est=kappa_est, tol=tol)
+    assert res.converged and res.iterations == last
+    _assert_matches_reference(res, _reference_newton(p.a, left, shared_norm, kappa_est, tol=tol))
+
+
+@pytest.mark.parametrize("left", [True, False], ids=["left", "right"])
+def test_newton_singular_matches_the_unscreened_loop(left, shared_norm):
+    a = Matrix(np.diag([1.0, 0.0]))
+    res = (newton_left if left else newton_right)(a, max_iter=5)
+    _assert_matches_reference(res, _reference_newton(a, left, shared_norm, max_iter=5))
+
+
+@pytest.mark.parametrize("n", [4, 80])
+def test_newton_divergence_matches_the_unscreened_loop(n, shared_norm):
+    a, v0 = Matrix(2.0 * np.eye(n)), Matrix(10.0 * np.eye(n))
+    _assert_matches_reference(newton_left(a, v0=v0),
+                              _reference_newton(a, True, shared_norm, v0=v0))
+
+
+def test_newton_iterate_whose_frobenius_norm_exceeds_binary64(shared_norm):
+    # ||V||_F = sqrt(80) 2^1021 overflows while ||V||_2 = 2^1021 does not:
+    # the screen's ceiling reads inf and leaves the decision to the exact test
+    a, v0 = Matrix(np.ldexp(np.eye(80), -1021)), Matrix(np.ldexp(np.eye(80), 1021))
+    res = newton_left(a, v0=v0)
+    assert res.converged and res.iterations == 1
+    _assert_matches_reference(res, _reference_newton(a, True, shared_norm, v0=v0))
+
+
+def test_newton_takes_few_exact_norms_at_the_jacobi_cutoff(jacobi_passes):
+    # one pass for ||A||, then two per iterate that reaches the exact test;
+    # without the screen it was two per iterate, 121 passes here
+    p = build_problem(NORM_SVD_CUTOFF, seed=0)
+    res = newton_left(p.a)
+    assert res.converged and res.iterations > 50
+    assert len(jacobi_passes) <= 5
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+       k=st.integers(-900, 900), left=st.booleans())
+def test_newton_is_exact_under_power_of_two_scaling(n, seed, k, left):
+    a = build_problem(n, 1e2, 1e-2, seed).a
+    newton = newton_left if left else newton_right
+    res = newton(a)
+    scaled = newton(Matrix(np.ldexp(a.data, k)))
+    assert (scaled.iterations, scaled.converged) == (res.iterations, res.converged)
+    assert np.array_equal(scaled.v.data, np.ldexp(res.v.data, -k))

@@ -30,12 +30,14 @@ def test_round_trip_exact(tmp_path):
 
 def test_round_trip_extreme_values(tmp_path):
     path = tmp_path / "m.txt"
-    m = Matrix(np.array([[1e-308, -1e308], [2.0**-53, -0.0]]))
-    save_matrix(path, m)
-    back = load_matrix(path)
-    assert np.array_equal(back.data, m.data)
-    # negative zero survives
-    assert np.signbit(back.data[1, 1])
+    for values in ([[1e-308, -1e308], [2.0**-53, -0.0]],
+                   [[5e-324, -5e-324], [np.finfo(float).max, -0.0]]):  # smallest, largest
+        m = Matrix(np.array(values))
+        save_matrix(path, m)
+        back = load_matrix(path)
+        assert np.array_equal(back.data, m.data)
+        # negative zero survives
+        assert np.signbit(back.data[1, 1])
 
 
 @settings(max_examples=50, deadline=None)
