@@ -23,12 +23,16 @@ from .rng import Rng
 
 EPS = 2.0 ** -53  # binary64 unit roundoff
 
-NORM_SVD_CUTOFF = 64     # norm2 uses Jacobi sweeps up to this order
+NORM_SVD_CUTOFF = 64     # norm2 squares the Gram matrix up to this order
 POWER_TOL = 1e-6         # relative change stop for power iteration
 POWER_MAX_ITERS = 200
 JACOBI_MAX_SWEEPS = 30
 
 _POWER_SEED = 0x6E6F726D32  # fixed start-vector stream for power iteration
+# Squarings of the Gram matrix in norm2: ||G^(2^J)||_F^(2^-(J+1)) overstates
+# sigma_1 by at most n^(2^-(J+2)), and 2^-59 ln 64 < eps, so J = 57 leaves
+# that factor at 1 after rounding for every order up to NORM_SVD_CUTOFF.
+_GRAM_SQUARINGS = 57
 # Above this column norm, squares lost to underflow change x @ x by less than
 # n 2^-103 relatively, so the unscaled sum stands. It is kept because the dot
 # on the strided column rounds differently from one on a scaled copy.
@@ -209,13 +213,18 @@ def _check_rhs(n: int, b: Vector | Matrix) -> None:
 def solve_lu(f: LuFactors, b: Vector | Matrix) -> Vector | Matrix:
     """Solve A x = b through the packed factors of A.
 
-    A Matrix b is a block of right-hand sides, solved in one sweep.
+    A Matrix b is a block of right-hand sides, solved in one sweep. The
+    sweeps run on b and U scaled by powers of two (see ``_prescale``), so
+    factors and right-hand sides at either end of the binary64 range
+    neither overflow nor underflow on the way. The scaling is exact, so
+    ordinary inputs give the same bits as unscaled.
     """
     _check_rhs(f.n, b)
-    x = b.data[f.perm]  # a fresh array: the two sweeps overwrite it
+    x, e = _prescale(b.data[f.perm])  # a fresh array: the two sweeps overwrite it
+    u, g = _prescale(np.triu(f.lu))
     _substitute(f.lu, x, lower=True, unit=True)
-    _substitute(f.lu, x, lower=False, unit=False)
-    return type(b)(x)
+    _substitute(u, x, lower=False, unit=False)
+    return _unscaled(type(b), x, e - g)
 
 
 def solve_lu_transposed(f: LuFactors, b: Vector | Matrix) -> Vector | Matrix:
@@ -223,15 +232,25 @@ def solve_lu_transposed(f: LuFactors, b: Vector | Matrix) -> Vector | Matrix:
 
     With P A = L U this is U^T L^T P y = b: one forward substitution with
     U^T, one back substitution with L^T, then the inverse row permutation.
+    Scaled as in ``solve_lu``.
     """
     _check_rhs(f.n, b)
-    ut = f.lu.T  # view: U^T below the diagonal, L^T (unit) above it
-    w = b.data.copy()
-    _substitute(ut, w, lower=True, unit=False)
-    _substitute(ut, w, lower=False, unit=True)
+    w, e = _prescale(b.data)
+    u, g = _prescale(np.triu(f.lu))
+    _substitute(u.T, w, lower=True, unit=False)
+    _substitute(f.lu.T, w, lower=False, unit=True)  # L^T (unit) above the diagonal
     y = np.empty_like(w)
     y[f.perm] = w
-    return type(b)(y)
+    return _unscaled(type(b), y, e - g)
+
+
+def _unscaled(kind, x: np.ndarray, e: int):
+    """kind(2^e x); a solution beyond binary64 is a named error, not inf."""
+    with np.errstate(over="ignore"):
+        x = np.ldexp(x, e)
+    if not np.isfinite(x).all():
+        raise ValueError("solution overflows the binary64 range")
+    return kind(x)
 
 
 def qr_householder(a: Matrix) -> QrFactors:
@@ -431,20 +450,25 @@ def _jacobi_rotate(w: np.ndarray, jacobi_tol: float | None = None,
 
 
 def norm2(a: Matrix) -> float:
-    """Spectral norm: leading singular value, by one-sided Jacobi for small
-    square orders, by power iteration on A^T A otherwise.
+    """Spectral norm: leading singular value, by repeated squaring of the
+    Gram matrix for small square orders, by power iteration on A^T A
+    otherwise.
 
-    The Jacobi path runs the sweeps of ``svd_jacobi`` on the values alone
-    (no right factor, no left-vector completion) and gives the same bits as
-    ``svd_jacobi(a).sigma[0]``. The work runs on A scaled by the power of
-    two that brings max |a_ij| into [1/2, 1), as LAPACK's dlascl does, so
-    squares neither overflow nor underflow. The scaling is exact for every
-    entry within 2^1021 of the largest, so ordinary inputs give the same
-    bits as unscaled. The result is kept on ``a``, so asking again costs
-    nothing.
+    The squaring path forms G = A^T A and squares it a fixed number of
+    times; ||G^(2^J)||_F^(2^-(J+1)) is sigma_1 up to a factor n^(2^-(J+2))
+    that rounds to 1, whatever the gap between sigma_1 and sigma_2. The
+    work runs on A scaled by the power of two that brings max |a_ij| into
+    [1/2, 1), as LAPACK's dlascl does, so squares neither overflow nor
+    underflow. The scaling is exact for every entry within 2^1021 of the
+    largest, so ordinary inputs give the same bits as unscaled. The result
+    is kept on ``a``, so asking again costs nothing. A norm beyond binary64
+    raises ValueError.
     """
     if a._norm2 is None:
-        a._norm2 = _norm2(a)
+        try:
+            a._norm2 = _norm2(a)
+        except OverflowError:
+            raise ValueError("spectral norm exceeds the binary64 range") from None
     return a._norm2
 
 
@@ -459,7 +483,7 @@ def _prescale(x: np.ndarray) -> tuple[np.ndarray, int]:
 def _norm2(a: Matrix) -> float:
     d, e = _prescale(a.data)
     if a.rows == a.cols and a.rows <= NORM_SVD_CUTOFF:
-        return math.ldexp(math.sqrt(float(_jacobi_rotate(d).max())), e)
+        return _gram_squaring_norm(d, e)
     q = _power_start(a.cols)
     s_prev = 0.0
     s = 0.0
@@ -476,6 +500,28 @@ def _norm2(a: Matrix) -> float:
     return math.ldexp(s, e)
 
 
+def _gram_squaring_norm(d: np.ndarray, e: int) -> float:
+    """2^e sigma_1(d) from G = d^T d squared _GRAM_SQUARINGS times. Before
+    each squaring G is rescaled by the power of two that brings max |g_ij|
+    into [1/2, 1), so nothing overflows; the exponents are summed exactly
+    in ``scale``, with G^(2^k) = 2^scale g."""
+    g = d.T @ d
+    scale = 0
+    for _ in range(_GRAM_SQUARINGS):
+        g, s = _prescale(g)
+        g = g @ g
+        scale = 2 * (scale + s)
+    flat = g.reshape(-1)
+    fro = math.sqrt(float(flat @ flat))
+    if fro == 0.0:
+        return 0.0
+    # sigma_1 is the degree-th root of 2^scale fro. scale has more bits
+    # than a double, so the integer part of scale / degree is split off exactly.
+    degree = 2 ** (_GRAM_SQUARINGS + 1)
+    whole, frac = divmod(scale, degree)
+    return math.ldexp(2.0 ** ((frac + math.log2(fro)) / degree), whole + e)
+
+
 def _ldexp_or_inf(s: float, e: int) -> float:
     try:
         return math.ldexp(s, e)
@@ -486,9 +532,9 @@ def _ldexp_or_inf(s: float, e: int) -> float:
 def _norm2_floor(x: np.ndarray) -> float:
     """||x q0|| for the unit start vector q0 of power iteration: norm2 never
     returns less, up to rounding. It is norm2's first power step, and the
-    Rayleigh values of the steps after it never decrease; on the Jacobi path
-    sigma_1 >= ||x q|| for every unit q. Prescaled like norm2; inf when the
-    norm is beyond binary64."""
+    Rayleigh values of the steps after it never decrease; on the squaring
+    path sigma_1 >= ||x q|| for every unit q. Prescaled like norm2; inf when
+    the norm is beyond binary64."""
     d, e = _prescale(x)
     y = d @ _power_start(x.shape[1])
     return _ldexp_or_inf(math.sqrt(float(y @ y)), e)

@@ -79,10 +79,8 @@ def geometric_spectrum(n: int, sigma_1: float, sigma_n: float) -> np.ndarray:
         raise ValueError("endpoints must be finite")
     if sigma_n <= 0.0 or sigma_1 < sigma_n:
         raise ValueError("need sigma_1 >= sigma_n > 0")
-    if n == 1:
-        if sigma_1 != sigma_n:
-            raise ValueError("a single singular value needs equal endpoints")
-        return np.array([sigma_1])
+    if n == 1 and sigma_1 != sigma_n:
+        raise ValueError("a single singular value needs equal endpoints")
     ratio = sigma_n / sigma_1
     # A ratio below the smallest normal double is subnormal, so it has lost
     # precision, or it is 0 and every interior value vanishes.
@@ -91,6 +89,12 @@ def geometric_spectrum(n: int, sigma_1: float, sigma_n: float) -> np.ndarray:
             f"sigma_1/sigma_n = {sigma_1!r}/{sigma_n!r} exceeds 1/(smallest "
             "normal double): the ratio sigma_n/sigma_1 would lose precision"
         )
+    if not np.isfinite(1.0 / float(sigma_n)):
+        raise ValueError(
+            f"1/sigma_n = 1/{sigma_n!r} exceeds binary64: the reference inverse would overflow"
+        )
+    if n == 1:
+        return np.array([sigma_1])
     s = sigma_1 * ratio ** (np.arange(n) / (n - 1))
     s[0] = sigma_1    # pin the endpoints exactly
     s[-1] = sigma_n

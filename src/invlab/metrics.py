@@ -81,10 +81,15 @@ def backward_error(a: Matrix, x: Vector, b: Vector) -> float:
     if a.rows != b.n or a.cols != x.n:
         raise DimensionMismatchError("shapes do not line up for A x = b")
     r = a.data @ x.data - b.data
-    den = norm2(a) * _vnorm(x.data) + _vnorm(b.data)
+    (mr, er), (mx, ex), (mb, eb) = map(_vnorm_parts, (r, x.data, b.data))
+    ma, ea = math.frexp(norm2(a))
+    # The ratio is taken with every term scaled by 2^-top, exactly, since
+    # ||A|| ||x|| or ||b|| alone may lie beyond binary64 when eta does not.
+    top = max(ea + ex, eb)
+    den = math.ldexp(ma * mx, ea + ex - top) + math.ldexp(mb, eb - top)
     if den == 0.0:
         raise ValueError("x and b are both zero; backward error undefined")
-    return _vnorm(r) / den
+    return math.ldexp(mr, er - top) / den
 
 
 def solve_report(a: Matrix, x: Vector, b: Vector,
@@ -100,14 +105,21 @@ def solve_report(a: Matrix, x: Vector, b: Vector,
     )
 
 
-def _vnorm(x: np.ndarray) -> float:
-    """sqrt(x @ x) on x scaled by the power of two that brings max |x_i| into
-    [1/2, 1), as ``core.norm2`` does, so the squares neither overflow nor
-    underflow. The scaling is exact, so ordinary inputs give the same bits.
-    A norm beyond binary64 raises ValueError rather than read as inf."""
+def _vnorm_parts(x: np.ndarray) -> tuple[float, int]:
+    """(m, e) with ||x|| = 2^e m: sqrt(x @ x) on x scaled by the power of two
+    that brings max |x_i| into [1/2, 1), as ``core.norm2`` does, so the
+    squares neither overflow nor underflow. The scaling is exact, so
+    ordinary inputs give the same bits."""
     y, e = _prescale(x)
+    return math.sqrt(float(y @ y)), e
+
+
+def _vnorm(x: np.ndarray) -> float:
+    """||x||, scaled as in ``_vnorm_parts``. A norm beyond binary64 raises
+    ValueError rather than read as inf."""
+    m, e = _vnorm_parts(x)
     try:
-        return math.ldexp(math.sqrt(float(y @ y)), e)
+        return math.ldexp(m, e)
     except OverflowError:
         raise ValueError("vector 2-norm exceeds the binary64 range") from None
 

@@ -120,14 +120,19 @@ def announce(capsys):
 
 
 @pytest.fixture
-def jacobi_passes(monkeypatch):
-    """Shapes of the arrays the Jacobi kernel runs on, one entry per pass."""
-    passes = []
-    rotate = core._jacobi_rotate
+def kernel_calls(monkeypatch):
+    """Calls of norm2's uncached kernel and of the Jacobi sweeps, by name."""
+    calls = {"_norm2": 0, "_jacobi_rotate": 0}
 
-    def counted(w, *args):
-        passes.append(w.shape)
-        return rotate(w, *args)
+    def counting(name):
+        fn = getattr(core, name)
 
-    monkeypatch.setattr(core, "_jacobi_rotate", counted)
-    return passes
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(core, name, counting(name))
+    return calls

@@ -7,9 +7,11 @@ variable, which have to hold across interpreter invocations.
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -84,11 +86,12 @@ def test_accuracy_json_record_structure(capsys):
     assert "timings" not in rec
 
 
-def test_accuracy_runs_one_jacobi_pass_per_distinct_matrix(jacobi_passes):
+def test_accuracy_takes_one_exact_norm_per_distinct_matrix(kernel_calls):
     run_accuracy(ExperimentConfig(n=16, sigma_1=1e2, sigma_n=1e-2, seed=3))
     # ||A|| (two LU tolerances, five backward errors), ||Ainv||, ||VA - I||,
-    # ||AV - I||, and ||V - Ainv|| for residuals and again for bad_inverse
-    assert jacobi_passes == [(16, 16)] * 6
+    # ||AV - I||, and ||V - Ainv|| for residuals and again for bad_inverse;
+    # none of them runs a Jacobi sweep
+    assert kernel_calls == {"_norm2": 6, "_jacobi_rotate": 0}
 
 
 @pytest.mark.parametrize("sigmas", [("1e308", "1e307"), ("1e200", "1e195")])
@@ -101,6 +104,30 @@ def test_accuracy_at_extreme_scale(sigmas, capsys):
     for mode in rec["solves"].values():
         for rep in mode.values():
             assert 0.0 < rep["forward_error_rel"] <= bound
+
+
+@pytest.mark.parametrize("method", ["getri", "rows-gepp", "cols-gepp", "newton-left",
+                                    "newton-right"])
+def test_accuracy_at_the_top_of_the_range(method, capsys):
+    # b = A x reaches 1e308, so the GEPP reference solve overflowed in its
+    # sweeps, and ||b|| in the backward error, unless both are prescaled
+    args = ["--n", "8", "--sigma1", "1e308", "--sigman", "1e308", "--method", method]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["accuracy", *args]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    for mode in rec["solves"].values():
+        for rep in mode.values():
+            assert 0.0 < rep["forward_error_rel"] <= 1e3 * EPS  # kappa = 1
+            assert 0.0 <= rep["backward_error"] <= 1e3 * EPS
+    assert 0.0 <= rec["bad_inverse"]["backward_error"] < math.inf
+
+
+@pytest.mark.parametrize("sigmas", [("1e-300", "1e-310"), ("1e-310", "5e-324")])
+def test_accuracy_rejects_sigma_n_with_no_finite_reciprocal(sigmas):
+    proc = run_cli(["accuracy", "--n", "4", "--sigma1", sigmas[0], "--sigman", sigmas[1]])
+    assert_usage_error(proc)
+    assert "1/sigma_n" in json.loads(proc.stderr.splitlines()[-1])["error"]["message"]
 
 
 def test_accuracy_newton_at_tiny_scale(capsys):
@@ -407,6 +434,14 @@ def test_exit_lu_overflow_is_2(tmp_path, method):
     proc = run_cli(["invert", str(tmp_path / "a.txt"), "--method", method])
     assert_usage_error(proc)
     assert "overflow" in json.loads(proc.stderr)["error"]["message"]
+
+
+def test_exit_norm_overflow_is_2(tmp_path):
+    # ||A|| = 1.5e308 sqrt(2) lies beyond binary64 while every entry is finite
+    save_matrix(tmp_path / "a.txt", Matrix(np.array([[1.5e308, 1.5e308], [1.5e308, -1.5e308]])))
+    proc = run_cli(["invert", str(tmp_path / "a.txt"), "--method", "getri"])
+    assert_usage_error(proc)
+    assert "spectral norm" in json.loads(proc.stderr)["error"]["message"]
 
 
 def test_exit_nonconvergence_is_6(tmp_path, capsys):

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from invlab import (
@@ -274,6 +274,28 @@ def test_solve_matrix_rhs_matches_vector_solves(solve):
         solve(f, Matrix(np.ones((n + 1, m))))
 
 
+@pytest.mark.parametrize("solve", [solve_lu, solve_lu_transposed])
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**16),
+       k=st.integers(-900, 1000), j=st.integers(-1000, 1000))
+def test_lu_solves_are_exact_under_power_of_two_scaling(solve, n, seed, k, j):
+    # b and U are prescaled for the sweeps, so A at 2^k and b at 2^j solve
+    # to the same bits scaled by 2^(j-k), up to either end of the range
+    # (unscaled, b = A x near 1e308 overflowed on the way)
+    assume(abs(j - k) <= 1000)
+    a = gaussian_matrix(n, seed).data
+    b = Rng(seed + 1).normals(n)
+    x = solve(lu_gepp(Matrix(a)), Vector(b)).data
+    x_scaled = solve(lu_gepp(Matrix(np.ldexp(a, k))), Vector(np.ldexp(b, j))).data
+    assert np.array_equal(x_scaled, np.ldexp(x, j - k))
+
+
+def test_solve_lu_beyond_binary64_is_a_named_error():
+    f = lu_gepp(Matrix(np.ldexp(np.eye(2), -1000)))
+    with pytest.raises(ValueError, match="solution overflows"):
+        solve_lu(f, Vector(np.ldexp(np.ones(2), 1000)))
+
+
 # --------------------------------------------------------------------- QR
 
 
@@ -449,7 +471,7 @@ def _zero_or_binade_matrices(draw, orders):
 
 
 @pytest.mark.parametrize("orders", [
-    st.integers(1, NORM_SVD_CUTOFF),        # Jacobi SVD path
+    st.integers(1, NORM_SVD_CUTOFF),        # Gram-squaring path
     st.integers(NORM_SVD_CUTOFF + 1, 80),   # power iteration path
 ], ids=["jacobi", "power"])
 @settings(max_examples=25, deadline=None)
@@ -459,32 +481,43 @@ def test_norm2_power_of_two_scaling_exact_over_the_exponent_range(orders, data, 
     assert norm2(Matrix(np.ldexp(d, k))) == math.ldexp(norm2(Matrix(d)), k)
 
 
-def _leading_jacobi_sigma(d: np.ndarray) -> float:
-    """svd_jacobi's sigma[0] on d, prescaled the way norm2 prescales."""
-    e = math.frexp(float(np.abs(d).max()))[1]
-    return math.ldexp(float(svd_jacobi(Matrix(np.ldexp(d, -e))).sigma[0]), e)
-
-
 @st.composite
 def _low_rank_matrices(draw):
-    """Square Gaussian products of rank 0..n: their extra columns deflate."""
+    """Square Gaussian products of rank 0..n."""
     n = draw(st.integers(1, NORM_SVD_CUTOFF))
     k = draw(st.integers(0, n))
     g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return g.standard_normal((n, k)) @ g.standard_normal((k, n))
 
 
-@settings(max_examples=20, deadline=None)
+@st.composite
+def _clustered_matrices(draw):
+    """Haar U diag(sigma) V^T with sigma = (1, 1 - delta t_2, ..., 1 - delta t_n),
+    t_i in [1, 2]: sigma_2..sigma_n crowd sigma_1 at gap delta in [1e-12, 1e-1]."""
+    n = draw(st.integers(1, NORM_SVD_CUTOFF))
+    delta = 10.0 ** draw(st.floats(-12.0, -1.0))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def haar():
+        q, r = np.linalg.qr(g.standard_normal((n, n)))
+        return q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
+
+    sigma = np.concatenate(([1.0], 1.0 - delta * g.uniform(1.0, 2.0, n - 1)))
+    return (haar() * sigma) @ haar().T
+
+
+@settings(max_examples=40, deadline=None)
 @given(d=st.one_of(_zero_or_binade_matrices(st.integers(1, NORM_SVD_CUTOFF)),
-                   _low_rank_matrices()))
+                   _low_rank_matrices(), _clustered_matrices()))
 @example(d=np.zeros((5, 5)))
-@example(d=np.array([[1.0, 2.0], [2.0, 4.0]]))           # rank 1: a column deflates
+@example(d=np.array([[1.0, 2.0], [2.0, 4.0]]))           # rank 1
 @example(d=np.outer(np.arange(1.0, 65.0), np.ones(64)))  # rank 1 at the cutoff
 @example(d=np.diag([1.0, 3.0, 2.0]))
 @example(d=gaussian_matrix(1, 30).data)
 @example(d=gaussian_matrix(NORM_SVD_CUTOFF, 31).data)
-def test_norm2_is_the_leading_jacobi_singular_value(d):
-    assert norm2(Matrix(d)) == _leading_jacobi_sigma(d)
+def test_norm2_matches_the_lapack_leading_singular_value(d):
+    sigma_1 = np.linalg.norm(d, 2)  # LAPACK's SVD, as the oracle only
+    assert abs(norm2(Matrix(d)) - sigma_1) <= 4 * d.shape[0] * EPS * sigma_1
 
 
 @settings(max_examples=50, deadline=None)
@@ -504,18 +537,25 @@ def test_norm2_bracket_holds_over_the_exponent_range(d, k):
     assert exact <= core._norm2_ceil(x) * rounding
 
 
-def test_norm2_is_computed_once_per_matrix(jacobi_passes):
+def test_norm2_is_computed_once_per_matrix(kernel_calls):
     a = gaussian_matrix(12, 21)
     first = norm2(a)
     assert norm2(a) == first
-    assert jacobi_passes == [(12, 12)]
+    assert kernel_calls["_norm2"] == 1
     assert norm2(Matrix(a.data)) == first  # a new Matrix starts with no norm
-    assert len(jacobi_passes) == 2
+    assert kernel_calls == {"_norm2": 2, "_jacobi_rotate": 0}
 
 
 @pytest.mark.parametrize("n, c", [(80, 1e80), (4, 1e-170), (80, 1e-170), (4, 1e160)])
 def test_norm2_scaled_identity_near_overflow_and_underflow(n, c):
     assert abs(norm2(Matrix(c * np.eye(n))) - c) <= 4 * math.ulp(c)
+
+
+@pytest.mark.parametrize("n", [2, 80])  # squaring path, power path
+def test_norm2_beyond_binary64_is_a_named_error(n):
+    # sigma_1 = 1.5e308 n: every entry is finite, the norm is not
+    with pytest.raises(ValueError, match="spectral norm exceeds"):
+        norm2(Matrix(np.full((n, n), 1.5e308)))
 
 
 # ------------------------------------------------------------------ cond2

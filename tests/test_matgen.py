@@ -88,6 +88,11 @@ def test_geometric_spectrum_validation():
         geometric_spectrum(4, 1.0, 1e-310)  # the ratio is subnormal
     tiny = np.finfo(np.float64).tiny
     assert geometric_spectrum(4, 1.0, tiny)[-1] == tiny  # smallest normal: kept
+    for s1, sn in ((1e-300, 1e-310), (1e-310, 5e-324), (1e-310, 1e-310)):
+        with pytest.raises(ValueError, match="1/sigma_n"):
+            geometric_spectrum(4, s1, sn)  # the reference inverse overflows
+    with pytest.raises(ValueError, match="1/sigma_n"):
+        geometric_spectrum(1, 1e-310, 1e-310)
 
 
 @settings(max_examples=40, deadline=None)
